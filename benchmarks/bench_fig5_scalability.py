@@ -11,7 +11,7 @@ Two protocols share this file:
 
 2. **Shard scaling (``python benchmarks/bench_fig5_scalability.py``)** —
    the extension the paper's single-machine protocol can't show: train the
-   same checkpoint on 1, 2 and 4 mp shards via
+   same checkpoint on 1, 2 and 4 socket shards via
    :class:`repro.cluster.train.DistributedTrainer` and record nodes/second
    per fleet into ``BENCH_train.json``.  Throughput is measured on the
    **logical service clock** the cluster benches share — per phase, the
@@ -45,7 +45,7 @@ EPOCHS = 3
 
 # --- shard-scaling protocol -------------------------------------------------
 SHARD_COUNTS = (1, 2, 4)
-TRAIN_TRANSPORT = "mp"
+TRAIN_TRANSPORT = "socket"
 SPEEDUP_FLOOR = 1.5     # asserted on the largest fleet
 LOSS_TOLERANCE = 1e-10  # every fleet vs single-process, final epoch
 MAX_ATTEMPTS = 3        # retry gated rows; host preemption bursts happen

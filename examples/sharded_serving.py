@@ -62,7 +62,7 @@ def main() -> None:
         print("-- 1. scatter-gather equals the single server --")
         reference = single.embed(probe)
         router = ClusterRouter.from_checkpoint(
-            checkpoint, fresh_graph(), 4, transport="thread", seed=7
+            checkpoint, fresh_graph(), 4, transport="socket", seed=7
         )
         plan = router.plan.summary()
         print(f"4 shards, reach {plan['reach']}, edge cut {plan['edge_cut']}, "
@@ -82,7 +82,7 @@ def main() -> None:
               f"{np.array_equal(router.embed(after), single.embed(after))}")
         for worker in router.workers:
             # Pulled through the transport protocol, so the same line works
-            # whether the shard engine is inline, a thread, or a process.
+            # whether the shard engine is inline or a socket worker process.
             state = worker.pull_serving_state().result()["serving_state"]
             bumped = sum(state["node_bumps"].values())
             print(f"  shard {worker.spec.shard_id}: "

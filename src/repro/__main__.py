@@ -19,12 +19,11 @@ Commands
     (:mod:`repro.cluster`), replay the same deterministic trace through the
     scatter-gather router, and print the cluster report: per-shard
     ownership/halo/latency plus cluster throughput.  ``--transport``
-    selects the shard boundary: ``inline`` (deterministic replay, default),
-    ``thread`` (worker threads), ``mp`` (worker processes rebuilt from
-    the checkpoint), or ``socket`` (TCP workers with heartbeats, respawn,
-    and mutation-log catch-up; ``--workers host:port,...`` points at
-    pre-started ``shard-worker`` processes, otherwise workers are spawned
-    locally).  ``--prometheus-out`` writes the merged shard-labeled
+    selects the shard boundary: ``inline`` (deterministic replay, default)
+    or ``socket`` (one TCP worker process per shard with heartbeats,
+    respawn, and mutation-log catch-up; ``--workers host:port,...`` points
+    at pre-started ``shard-worker`` processes, otherwise workers are
+    spawned locally).  ``--prometheus-out`` writes the merged shard-labeled
     Prometheus exposition.
 ``shard-worker --listen HOST:PORT``
     Run one shard-engine server speaking the length-prefixed TCP framing
@@ -695,11 +694,12 @@ def main(argv=None) -> int:
                               "for serve-cluster/trace; giving it to train "
                               "switches on data-parallel training)")
     cluster.add_argument("--transport",
-                         choices=("inline", "thread", "mp", "socket"),
+                         choices=("inline", "socket"),
                          default="inline",
                          help="shard boundary: inline (deterministic "
-                              "replay), thread workers, mp processes, or "
-                              "socket TCP workers")
+                              "replay) or socket (one TCP worker process "
+                              "per shard, spawned locally unless --workers "
+                              "names them)")
     cluster.add_argument("--workers", default=None,
                          help="socket transport: comma-separated "
                               "host:port list of pre-started shard-worker "

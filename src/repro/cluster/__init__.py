@@ -12,10 +12,9 @@ while preserving its exact semantics:
   memory.
 - :mod:`~repro.cluster.transport` — the pluggable message boundary: typed
   :class:`Envelope`/:class:`Reply` pairs over ``inline`` (deterministic
-  replay on the caller's thread, pickle round-trip included), ``thread``
-  (bounded-inbox worker thread), ``mp`` (one OS process per shard,
-  rebuilt from checkpoint + shard payload on spawn) or ``socket``
-  (TCP workers, possibly on other hosts — see below).
+  replay on the caller's thread, pickle round-trip included) or
+  ``socket`` (one TCP worker process per shard, spawned locally or on
+  other hosts — see below).
 - :mod:`~repro.cluster.net` — the ``socket`` lane: length-prefixed TCP
   framing for the same pickle protocol, a ``python -m repro shard-worker``
   server entrypoint, heartbeat liveness riding ``clock`` envelopes, and a
@@ -72,12 +71,9 @@ from repro.cluster.train import DistributedTrainer, TrainEngine, TrainWorker
 from repro.cluster.transport import (
     Envelope,
     InlineTransport,
-    MpTransport,
     Reply,
-    ShardCrashError,
     ShardError,
     ShardTimeoutError,
-    ThreadTransport,
     Transport,
     registered_transports,
     validate_transport,
@@ -93,13 +89,11 @@ __all__ = [
     "FleetSupervisor",
     "InlineTransport",
     "LocalWorkerSpawner",
-    "MpTransport",
     "MutationLog",
     "MutationLogHorizonError",
     "RecoveryRecord",
     "RefreshCommand",
     "Reply",
-    "ShardCrashError",
     "ShardEngine",
     "ShardError",
     "ShardPlanner",
@@ -109,7 +103,6 @@ __all__ = [
     "ShardWorker",
     "ShardWorkerServer",
     "SocketTransport",
-    "ThreadTransport",
     "TrainEngine",
     "TrainWorker",
     "Transport",

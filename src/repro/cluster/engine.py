@@ -7,8 +7,8 @@ arrays — never shared with the router) and one
 (:class:`~repro.cluster.worker.ShardWorker` + a transport) never touches
 the server; it only ships :class:`~repro.cluster.transport.Envelope`\\ s,
 and :meth:`handle` is the single dispatch point — which is why the same
-engine code runs inline, on a worker thread, and in a spawned process
-without any behavioral difference.
+engine code runs inline and in a socket worker process without any
+behavioral difference.
 
 Envelope kinds:
 
@@ -39,6 +39,7 @@ router's gather.
 from __future__ import annotations
 
 import os
+import tempfile
 import time
 from typing import Dict, Optional
 
@@ -53,22 +54,47 @@ from repro.serve.server import InferenceServer
 
 
 def build_engine_from_args(args: Dict[str, object]):
-    """Build whichever engine family ``args`` asks for.
+    """Build whichever engine family a spawn envelope asks for.
 
-    The single dispatch point every spawned worker uses
-    (``_engine_process_main`` for mp, ``ShardWorkerServer`` for sockets):
-    ``args["engine"]`` selects ``"serve"`` (default, and the implicit value
-    in every pre-training spawn payload) or ``"train"`` — same wire shape,
-    same ready-handshake, different envelope vocabulary behind it.
+    The single construction point every worker process uses
+    (:class:`repro.cluster.net.ShardWorkerServer`): ``args["engine"]``
+    selects ``"serve"`` (default, and the implicit value in every
+    pre-training spawn payload) or ``"train"`` — same wire shape, same
+    ready-handshake, different envelope vocabulary behind it.
+
+    ``checkpoint_bytes`` is the raw ``.npz`` contents (workers share no
+    filesystem with the router), staged through a private temp file and
+    deleted once loaded.  ``serving_state`` (when present) is restored
+    after the build, so a respawned serving engine adopts the exact version
+    counters of the baseline it was rebuilt from.
     """
     family = args.get("engine", "serve")
     if family == "serve":
-        return ShardEngine.from_args(args)
-    if family == "train":
+        engine_cls = ShardEngine
+    elif family == "train":
         from repro.cluster.train import TrainEngine
 
-        return TrainEngine.from_args(args)
-    raise ValueError(f"unknown engine family {family!r}")
+        engine_cls = TrainEngine
+    else:
+        raise ValueError(f"unknown engine family {family!r}")
+    fd, staged = tempfile.mkstemp(prefix="repro-ckpt-", suffix=".npz")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(args["checkpoint_bytes"])
+        engine = engine_cls.build(
+            args["spec_payload"],
+            config=args.get("config", {}),
+            checkpoint=staged,
+        )
+    finally:
+        try:
+            os.unlink(staged)
+        except OSError:
+            pass
+    serving_state = args.get("serving_state")
+    if serving_state is not None:
+        engine.server.restore_serving_state(serving_state)
+    return engine
 
 
 class ShardEngine:
@@ -94,8 +120,8 @@ class ShardEngine:
     ) -> "ShardEngine":
         """Rebuild a shard from its serialized plan slice.
 
-        ``checkpoint`` is the spawn path every transport can use (the mp
-        worker *must*: a live classifier does not cross the pipe);
+        ``checkpoint`` is the spawn path every transport can use (a socket
+        worker *must*: a live classifier does not cross the wire);
         ``classifier_factory`` is the in-process alternative for routers
         constructed around a factory.  Either way the engine's spec comes
         from :meth:`ShardSpec.from_payload` — independent arrays, so the
@@ -125,51 +151,12 @@ class ShardEngine:
             # The shard's slice of the materialized-aggregate store
             # (owned nodes only — halo nodes are never served locally, so
             # shipping their rows would be dead weight).  Plain arrays, so
-            # the same payload works in-process and across the mp pickle
-            # boundary.
+            # the same payload works in-process and across the socket
+            # pickle boundary.
             from repro.store import AggregateStore
 
             server.attach_store(AggregateStore.from_payload(store_payload))
         return cls(spec, server)
-
-    @classmethod
-    def from_args(cls, args: Dict[str, object]) -> "ShardEngine":
-        """Entry point for spawned workers (see ``_engine_process_main`` and
-        :class:`repro.cluster.net.ShardWorkerServer`).
-
-        ``checkpoint`` is a path (mp workers share a filesystem with the
-        router); ``checkpoint_bytes`` is the raw ``.npz`` contents for
-        socket workers on machines that share nothing — staged through a
-        private temp file and deleted once loaded.  ``serving_state`` (when
-        present) is restored after the build, so a respawned engine adopts
-        the exact version counters of the baseline it was rebuilt from.
-        """
-        import tempfile
-
-        checkpoint = args.get("checkpoint")
-        checkpoint_bytes = args.get("checkpoint_bytes")
-        staged: Optional[str] = None
-        if checkpoint is None and checkpoint_bytes is not None:
-            fd, staged = tempfile.mkstemp(prefix="repro-ckpt-", suffix=".npz")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(checkpoint_bytes)
-            checkpoint = staged
-        try:
-            engine = cls.build(
-                args["spec_payload"],
-                config=args["config"],
-                checkpoint=checkpoint,
-            )
-        finally:
-            if staged is not None:
-                try:
-                    os.unlink(staged)
-                except OSError:
-                    pass
-        serving_state = args.get("serving_state")
-        if serving_state is not None:
-            engine.server.restore_serving_state(serving_state)
-        return engine
 
     # ------------------------------------------------------------------
     # Dispatch

@@ -1,9 +1,11 @@
 """TCP socket transport + fleet fault tolerance (``repro.cluster.net``).
 
-The last transport tier: the same :class:`~repro.cluster.transport.Envelope`
-/ :class:`~repro.cluster.transport.Reply` pickle protocol the ``inline``/
-``thread``/``mp`` transports speak, framed over TCP so shard engines can
-live on other machines.  One worker process per shard runs
+The out-of-process transport: the same
+:class:`~repro.cluster.transport.Envelope` /
+:class:`~repro.cluster.transport.Reply` pickle protocol the ``inline``
+transport replays in-process, framed over TCP so shard engines live in
+their own processes — on this machine (:class:`LocalWorkerSpawner`) or on
+others.  One worker process per shard runs
 ``python -m repro shard-worker --listen host:port``; the router connects a
 :class:`SocketTransport` per shard, ships the engine's spawn arguments
 (shard payload + checkpoint *bytes* + config — nothing assumes a shared
@@ -63,7 +65,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.transport import (
     READY_SEQ,
@@ -280,7 +282,7 @@ class SocketTransport(Transport):
 
     ``engine_args`` crosses the wire in the initial ``spawn`` envelope
     (shard payload + checkpoint bytes + config — see
-    :meth:`repro.cluster.engine.ShardEngine.from_args`), so the worker
+    :func:`repro.cluster.engine.build_engine_from_args`), so the worker
     process needs nothing but the ``repro`` package: no shared filesystem,
     no pre-staged checkpoint.  Replies are matched to pendings by sequence
     number, so concurrent requests interleave freely on one connection.
@@ -315,6 +317,7 @@ class SocketTransport(Transport):
         self._hb_sent: Dict[int, float] = {}  # seq -> perf_counter at send
         self._last_rx = 0.0
         self._down: Optional[WorkerDown] = None
+        self._failing = False  # first _mark_down wins; _down follows on_down
         self._stopping = False
         self._ready_event = threading.Event()
         self._ready_reply: Optional[Reply] = None
@@ -507,9 +510,17 @@ class SocketTransport(Transport):
 
     def _mark_down(self, reason: str, detail: str = "") -> None:
         with self._state_lock:
-            if self._down is not None:
+            if self._failing:
                 return
-            down = WorkerDown(self.shard_id, reason, detail)
+            self._failing = True
+        # Report the failure before anyone can observe it: a caller that
+        # sees WorkerDown may run FleetSupervisor.recover at once, and
+        # recovery reads what on_down records (the down event behind
+        # detect_s, the connection gauge it then resets to 1).
+        if self._on_down is not None and not self._stopping:
+            self._on_down(self.shard_id, reason, detail)
+        down = WorkerDown(self.shard_id, reason, detail)
+        with self._state_lock:
             self._down = down
             pendings = list(self._pending.values())
             self._pending.clear()
@@ -520,8 +531,6 @@ class SocketTransport(Transport):
             self._ready_reply = self._down_reply(READY_SEQ, down)
             self._ready_event.set()
         self._close_socket()
-        if self._on_down is not None and not self._stopping:
-            self._on_down(self.shard_id, reason, detail)
 
     def _close_socket(self) -> None:
         sock = self._sock
@@ -743,13 +752,23 @@ class WorkerHandle:
         return None if self.process is None else self.process.pid
 
 
+_BLAS_THREAD_VARIABLES = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+)
+
+
 class LocalWorkerSpawner:
     """Launches loopback shard-worker subprocesses (benchmarks, CI, tests).
 
     The child binds port 0 and announces ``LISTENING host port`` on stdout;
     we parse that, so no port coordination is needed.  ``PYTHONPATH`` is
     prepended with this package's parent directory so the child resolves
-    ``repro`` the same way the parent did.
+    ``repro`` the same way the parent did.  BLAS thread pools default to
+    one thread per worker (unless the caller set them): a fleet already
+    runs one process per shard, and idle pool threads would be billed to
+    each worker's process-CPU clock.
     """
 
     def __init__(
@@ -772,6 +791,8 @@ class LocalWorkerSpawner:
         env["PYTHONPATH"] = (
             package_parent + (os.pathsep + existing if existing else "")
         )
+        for variable in _BLAS_THREAD_VARIABLES:
+            env.setdefault(variable, "1")
         process = subprocess.Popen(
             [
                 self.python,
@@ -819,6 +840,23 @@ class ShardRegistry:
         self._handles: Dict[int, WorkerHandle] = {}
 
     @classmethod
+    def for_fleet(
+        cls, workers: Optional[Sequence[str]], num_shards: int
+    ) -> "ShardRegistry":
+        """A socket fleet's registry: loopback workers spawned on demand
+        when ``workers`` is ``None``, else one static ``host:port`` per
+        shard."""
+        if workers is None:
+            return cls(LocalWorkerSpawner())
+        addresses = list(workers)
+        if len(addresses) != num_shards:
+            raise ValueError(
+                f"workers= names {len(addresses)} addresses for "
+                f"{num_shards} shards"
+            )
+        return cls.from_addresses(addresses)
+
+    @classmethod
     def from_addresses(cls, addresses: List[str]) -> "ShardRegistry":
         """Static fleet: one ``host:port`` string per shard, in shard order."""
         registry = cls(spawner=None)
@@ -850,6 +888,12 @@ class ShardRegistry:
                 "registry has no spawner; register static addresses instead"
             )
         return self.register(self.spawner.spawn(shard_id))
+
+    def launch(self, shard_id: int) -> WorkerHandle:
+        """The shard's first worker: spawned, or its static address."""
+        if self.spawner is not None:
+            return self.spawn(shard_id)
+        return self.handle(shard_id)
 
     def respawn(self, shard_id: int) -> WorkerHandle:
         handle = self._handles[shard_id]
@@ -1210,7 +1254,6 @@ class FleetSupervisor:
                 catchup = []
             engine_args = {
                 "spec_payload": baseline.payload,
-                "checkpoint": None,
                 "checkpoint_bytes": self.checkpoint_bytes,
                 "config": self.shard_configs[shard_id],
                 "serving_state": baseline.serving_state,

@@ -6,7 +6,7 @@ serving graph (the source of truth mutations land on first), the
 router-side mirror specs), and one
 :class:`~repro.cluster.worker.ShardWorker` per shard — a protocol stub
 over a pluggable :mod:`~repro.cluster.transport` (``inline`` /
-``thread`` / ``mp``).  Its contract is **indistinguishability**:
+``socket``).  Its contract is **indistinguishability**:
 ``router.embed(nodes)`` returns bit-for-bit what one whole-graph
 :class:`~repro.serve.server.InferenceServer` with the same seed would
 return, in the caller's node order — sharding *and transport choice* are
@@ -16,7 +16,7 @@ and post-mutation state included).
 
 The request path is **async scatter-gather**: requests group by owner
 shard, one serve envelope per shard is issued for the whole group (so
-every shard computes concurrently on the thread and mp transports), and
+every shard computes concurrently on the socket transport), and
 the replies are gathered afterwards with a per-shard timeout, re-stitched
 into request order.  Shard failures come back as error envelopes and are
 raised at the gather as :class:`~repro.cluster.transport.ShardError` —
@@ -39,7 +39,6 @@ in this process or in four others.
 
 from __future__ import annotations
 
-import pickle
 import tempfile
 import time
 from pathlib import Path
@@ -53,20 +52,13 @@ from repro.cluster.net import (
     DEFAULT_HEARTBEAT_MISSES,
     DEFAULT_MAX_FRAME_BYTES,
     FleetSupervisor,
-    LocalWorkerSpawner,
     MutationLog,
     ShardRegistry,
     SocketTransport,
     WorkerDown,
 )
 from repro.cluster.planner import ClusterPlan, ShardPlanner
-from repro.cluster.transport import (
-    InlineTransport,
-    MpTransport,
-    ThreadTransport,
-    Transport,
-    validate_transport,
-)
+from repro.cluster.transport import InlineTransport, validate_transport
 from repro.cluster.worker import ShardWorker
 from repro.graph import HeteroGraph
 from repro.obs.dist import DistTracer, clock_handshake, make_trace_ctx
@@ -75,19 +67,16 @@ from repro.obs.slo import AttributionRecord, SLOMonitor, SLOTarget, SlowRequestL
 from repro.obs.tracing import _NULL_SPAN as _NULL_CTX
 from repro.serve.server import load_checkpoint_classifier, serving_reach_of
 
-_MODE_ALIASES = {"sync": "inline", "thread": "thread"}
-
 
 class ClusterRouter:
     """Shards one serving graph and routes requests by ownership.
 
     ``classifier_factory(shard_graph)`` must return an *independent*
     classifier bound to the given graph — one instance per shard, no shared
-    mutable state.  The ``mp`` transport cannot ship live classifiers
+    mutable state.  The ``socket`` transport cannot ship live classifiers
     across the process boundary, so it requires checkpoint-driven
     construction: use :meth:`from_checkpoint`, or :meth:`from_classifier`
     (which round-trips through a temp checkpoint for any transport).
-    ``mode`` is the pre-transport spelling and maps ``sync``→``inline``.
     """
 
     def __init__(
@@ -96,14 +85,12 @@ class ClusterRouter:
         graph: HeteroGraph,
         num_shards: int,
         *,
-        transport: Optional[str] = None,
-        mode: Optional[str] = None,
+        transport: str = "inline",
         checkpoint: Optional[str] = None,
         max_batch_size: int = 16,
         max_wait: float = 0.002,
         cache_capacity: int = 1024,
         seed: int = 0,
-        inbox_capacity: int = 256,
         partition_seed: int = 0,
         request_timeout: Optional[float] = 120.0,
         start_timeout: float = 120.0,
@@ -119,22 +106,10 @@ class ClusterRouter:
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         mutation_log_capacity: int = 256,
     ) -> None:
-        if transport is None:
-            if mode is None:
-                transport = "thread"
-            elif mode in _MODE_ALIASES:
-                transport = _MODE_ALIASES[mode]
-            else:
-                raise ValueError(
-                    f"unknown mode {mode!r}; expected one of "
-                    f"{tuple(sorted(_MODE_ALIASES))} (or pass transport=)"
-                )
-        elif mode is not None:
-            raise ValueError("pass either transport= or the legacy mode=, not both")
         # Eager validation: an unknown transport fails here, with the full
         # registered menu, not deep inside a spawn path.
         validate_transport(transport)
-        if transport in ("mp", "socket") and checkpoint is None:
+        if transport == "socket" and checkpoint is None:
             raise ValueError(
                 f"the {transport} transport rebuilds each shard's server in "
                 "a worker process and needs a checkpoint; construct the "
@@ -196,22 +171,15 @@ class ClusterRouter:
         # Socket fleet plumbing: the worker registry (spawned loopback
         # processes or static remote addresses), the bounded mutation log
         # recovery replays from, and the supervisor owning both plus the
-        # per-shard rebuild baselines.  All None on in-process transports —
+        # per-shard rebuild baselines.  All None on the inline transport —
         # every fleet check below is a single ``is not None``.
         self.fleet: Optional[FleetSupervisor] = None
         self.shard_registry: Optional[ShardRegistry] = None
         self.mutation_log: Optional[MutationLog] = None
         if transport == "socket":
-            if workers is None:
-                self.shard_registry = ShardRegistry(LocalWorkerSpawner())
-            else:
-                addresses = list(workers)
-                if len(addresses) != self.plan.num_shards:
-                    raise ValueError(
-                        f"workers= names {len(addresses)} addresses for "
-                        f"{self.plan.num_shards} shards"
-                    )
-                self.shard_registry = ShardRegistry.from_addresses(addresses)
+            self.shard_registry = ShardRegistry.for_fleet(
+                workers, self.plan.num_shards
+            )
             self.mutation_log = MutationLog(mutation_log_capacity)
             self.fleet = FleetSupervisor(
                 self,
@@ -234,21 +202,14 @@ class ClusterRouter:
             if transport == "socket":
                 channel = self._make_socket_transport(spec, shard_config)
             else:
-                channel = self._make_transport(
-                    transport,
-                    spec.shard_id,
-                    spec.to_payload(),
-                    shard_config,
-                    checkpoint=checkpoint,
-                    classifier_factory=classifier_factory,
-                    inbox_capacity=inbox_capacity,
-                    start_timeout=start_timeout,
+                channel = self._make_inline_transport(
+                    spec, shard_config, checkpoint, classifier_factory
                 )
             self.workers.append(ShardWorker(spec, channel).start())
         # Gather readiness after *all* spawns are launched, so a fleet of
-        # mp workers loads its checkpoints concurrently.  Once this returns
-        # the checkpoint file is no longer needed (from_classifier relies
-        # on that to delete its temp dir).
+        # socket workers loads its checkpoints concurrently.  Once this
+        # returns the checkpoint file is no longer needed (from_classifier
+        # relies on that to delete its temp dir).
         for worker in self.workers:
             worker.wait_ready(start_timeout)
         if self.fleet is not None:
@@ -271,31 +232,10 @@ class ClusterRouter:
             self.enable_slo(slo_target)
 
     @staticmethod
-    def _make_transport(
-        kind: str,
-        shard_id: int,
-        spec_payload: Dict[str, object],
-        config: Dict[str, object],
-        *,
-        checkpoint: Optional[str],
-        classifier_factory,
-        inbox_capacity: int,
-        start_timeout: float,
-    ) -> Transport:
-        if kind == "mp":
-            engine_args = pickle.dumps(
-                {
-                    "spec_payload": spec_payload,
-                    "checkpoint": str(checkpoint),
-                    "config": config,
-                }
-            )
-            return MpTransport(
-                shard_id,
-                engine_args,
-                inbox_capacity=inbox_capacity,
-                start_timeout=start_timeout,
-            )
+    def _make_inline_transport(
+        spec, config, checkpoint, classifier_factory
+    ) -> InlineTransport:
+        spec_payload = spec.to_payload()
         checkpoint_str = None if checkpoint is None else str(checkpoint)
 
         def engine_factory() -> ShardEngine:
@@ -306,11 +246,7 @@ class ClusterRouter:
                 classifier_factory=classifier_factory,
             )
 
-        if kind == "thread":
-            return ThreadTransport(
-                shard_id, engine_factory, inbox_capacity=inbox_capacity
-            )
-        return InlineTransport(shard_id, engine_factory)
+        return InlineTransport(spec.shard_id, engine_factory)
 
     def _make_socket_transport(self, spec, shard_config) -> SocketTransport:
         """One TCP channel to this shard's worker, wired to the supervisor.
@@ -326,16 +262,12 @@ class ClusterRouter:
         fleet.shard_configs[shard_id] = shard_config
         payload = spec.to_payload()
         fleet.set_baseline(shard_id, payload, None, self.graph.version)
-        if self.shard_registry.spawner is not None:
-            handle = self.shard_registry.spawn(shard_id)
-        else:
-            handle = self.shard_registry.handle(shard_id)
+        handle = self.shard_registry.launch(shard_id)
         return SocketTransport(
             shard_id,
             handle.address,
             {
                 "spec_payload": payload,
-                "checkpoint": None,
                 "checkpoint_bytes": fleet.checkpoint_bytes,
                 "config": shard_config,
                 "serving_state": None,
@@ -372,8 +304,8 @@ class ClusterRouter:
     ) -> "ClusterRouter":
         """One server per shard, each rebuilt from the same checkpoint.
 
-        This is the only construction path the ``mp`` transport supports:
-        the checkpoint is what crosses the process boundary.
+        This is the only construction path the ``socket`` transport
+        supports: the checkpoint is what crosses the process boundary.
         """
         return cls(None, graph, num_shards, checkpoint=str(path), **kwargs)
 
@@ -386,7 +318,7 @@ class ClusterRouter:
         Saving once and loading per shard is the clean way to get fully
         independent instances (parameters copied, no shared trainer state)
         without deep-copying live graph references — and it is exactly the
-        spawn path mp workers need.  The temp checkpoint is deleted as soon
+        spawn path socket workers need.  The temp checkpoint is deleted as soon
         as every shard has confirmed loading it.
         """
         if not hasattr(classifier, "save"):
@@ -600,7 +532,7 @@ class ClusterRouter:
 
         Runs the clock-alignment handshake against every shard first
         (min-RTT NTP-style probes over the ``clock`` envelope), so spans
-        from ``mp`` workers — whose ``perf_counter`` epochs share nothing
+        from ``socket`` workers — whose ``perf_counter`` epochs share nothing
         with ours — land correctly on the router timeline at stitch time.
         """
         self._check_open()
@@ -749,7 +681,7 @@ class ClusterRouter:
         each shard processes its slice *atomically inside one replay
         envelope* — batch composition is driven by trace times alone, so
         the replay is deterministic on every transport, while the shards
-        themselves still run concurrently on ``thread`` and ``mp``.  The
+        themselves still run concurrently on ``socket``.  The
         cluster summary uses the union of per-shard records — throughput
         over the cluster-wide logical span, so shard parallelism shows up
         as span compression, not wishful addition.

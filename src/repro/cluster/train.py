@@ -5,7 +5,7 @@ ShardPlanner` partitions the training graph (owned nodes + a reach-``k``
 halo whose verbatim adjacency lists make partition-local sampling
 bit-identical to whole-graph sampling), the ``train`` family of
 :class:`~repro.cluster.transport.Envelope` kinds rides any registered
-transport (``inline``/``thread``/``mp``/``socket``), and per-shard metrics
+transport (``inline``/``socket``), and per-shard metrics
 merge through the same registry-payload path ``/metrics`` scrapes.
 
 Three pieces:
@@ -42,7 +42,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import pickle
 import tempfile
 import time
 from pathlib import Path
@@ -54,7 +53,6 @@ from repro.cluster.net import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_HEARTBEAT_MISSES,
     DEFAULT_MAX_FRAME_BYTES,
-    LocalWorkerSpawner,
     ShardRegistry,
     SocketTransport,
 )
@@ -62,10 +60,8 @@ from repro.cluster.planner import ClusterPlan, ShardPlanner, ShardSpec
 from repro.cluster.transport import (
     Envelope,
     InlineTransport,
-    MpTransport,
     PendingReply,
     Reply,
-    ThreadTransport,
     Transport,
     error_info,
     validate_transport,
@@ -85,10 +81,10 @@ class TrainEngine:
 
     Holds a partition-local graph slice and a full model replica whose
     parameters, optimizer moments and rng streams came from a checkpoint —
-    the same spawn contract serving engines use, which is why the mp and
-    socket transports run training workers through their existing spawn
-    paths unchanged (``engine_args["engine"] = "train"`` is the only
-    difference on the wire).
+    the same spawn contract serving engines use, which is why the socket
+    transport runs training workers through its existing spawn path
+    unchanged (``engine_args["engine"] = "train"`` is the only difference
+    on the wire).
     """
 
     def __init__(self, spec: ShardSpec, classifier) -> None:
@@ -133,36 +129,6 @@ class TrainEngine:
                 "trainer"
             )
         return cls(spec, classifier)
-
-    @classmethod
-    def from_args(cls, args: Dict[str, object]) -> "TrainEngine":
-        """Spawn entry point (mp process main / socket worker server).
-
-        Mirrors :meth:`ShardEngine.from_args`: ``checkpoint`` is a path for
-        workers sharing a filesystem, ``checkpoint_bytes`` the raw ``.npz``
-        contents for socket workers that share nothing — staged through a
-        private temp file and deleted once loaded.
-        """
-        checkpoint = args.get("checkpoint")
-        checkpoint_bytes = args.get("checkpoint_bytes")
-        staged: Optional[str] = None
-        if checkpoint is None and checkpoint_bytes is not None:
-            fd, staged = tempfile.mkstemp(prefix="repro-train-ckpt-", suffix=".npz")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(checkpoint_bytes)
-            checkpoint = staged
-        try:
-            return cls.build(
-                args["spec_payload"],
-                config=args.get("config", {}),
-                checkpoint=checkpoint,
-            )
-        finally:
-            if staged is not None:
-                try:
-                    os.unlink(staged)
-                except OSError:
-                    pass
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -354,7 +320,6 @@ class DistributedTrainer:
         transport: str = "inline",
         partition_seed: int = 0,
         shard_checkpoints: Optional[Sequence] = None,
-        inbox_capacity: int = 256,
         request_timeout: Optional[float] = 600.0,
         start_timeout: float = 120.0,
         workers: Optional[Sequence[str]] = None,
@@ -408,31 +373,22 @@ class DistributedTrainer:
             checkpoints = [str(checkpoint)] * self.plan.num_shards
         self.shard_registry: Optional[ShardRegistry] = None
         if transport == "socket":
-            if workers is None:
-                self.shard_registry = ShardRegistry(LocalWorkerSpawner())
-            else:
-                addresses = list(workers)
-                if len(addresses) != self.plan.num_shards:
-                    raise ValueError(
-                        f"workers= names {len(addresses)} addresses for "
-                        f"{self.plan.num_shards} shards"
-                    )
-                self.shard_registry = ShardRegistry.from_addresses(addresses)
+            self.shard_registry = ShardRegistry.for_fleet(
+                workers, self.plan.num_shards
+            )
         self.workers: List[TrainWorker] = []
         for spec, shard_checkpoint in zip(self.plan.shards, checkpoints):
             channel = self._make_transport(
                 transport,
                 spec,
                 shard_checkpoint,
-                inbox_capacity=inbox_capacity,
-                start_timeout=start_timeout,
                 max_frame_bytes=max_frame_bytes,
                 heartbeat_interval=heartbeat_interval,
                 heartbeat_misses=heartbeat_misses,
             )
             self.workers.append(TrainWorker(spec, channel).start())
-        # Gather readiness after all spawns, so an mp/socket fleet loads
-        # its checkpoints concurrently.
+        # Gather readiness after all spawns, so a socket fleet loads its
+        # checkpoints concurrently.
         for worker in self.workers:
             worker.wait_ready(start_timeout)
         self._closed = False
@@ -443,42 +399,20 @@ class DistributedTrainer:
         spec: ShardSpec,
         checkpoint: str,
         *,
-        inbox_capacity: int,
-        start_timeout: float,
         max_frame_bytes: int,
         heartbeat_interval: float,
         heartbeat_misses: int,
     ) -> Transport:
         spec_payload = spec.to_payload()
-        if kind == "mp":
-            engine_args = pickle.dumps(
-                {
-                    "engine": "train",
-                    "spec_payload": spec_payload,
-                    "checkpoint": checkpoint,
-                    "config": {},
-                }
-            )
-            return MpTransport(
-                spec.shard_id,
-                engine_args,
-                inbox_capacity=inbox_capacity,
-                start_timeout=start_timeout,
-            )
         if kind == "socket":
-            if self.shard_registry.spawner is not None:
-                handle = self.shard_registry.spawn(spec.shard_id)
-            else:
-                handle = self.shard_registry.handle(spec.shard_id)
+            handle = self.shard_registry.launch(spec.shard_id)
             return SocketTransport(
                 spec.shard_id,
                 handle.address,
                 {
                     "engine": "train",
                     "spec_payload": spec_payload,
-                    "checkpoint": None,
                     "checkpoint_bytes": Path(checkpoint).read_bytes(),
-                    "config": {},
                 },
                 max_frame_bytes=max_frame_bytes,
                 heartbeat_interval=heartbeat_interval,
@@ -490,10 +424,6 @@ class DistributedTrainer:
                 spec_payload, config={}, checkpoint=checkpoint
             )
 
-        if kind == "thread":
-            return ThreadTransport(
-                spec.shard_id, engine_factory, inbox_capacity=inbox_capacity
-            )
         return InlineTransport(spec.shard_id, engine_factory)
 
     # ------------------------------------------------------------------
@@ -508,7 +438,7 @@ class DistributedTrainer:
 
         A checkpoint round-trip is the clean way to hand every shard an
         independent replica with *identical* parameters and rng streams —
-        and it is the only thing mp/socket workers can spawn from.  The
+        and it is the only thing socket workers can spawn from.  The
         temp file is deleted once every shard has confirmed loading it.
         """
         with tempfile.TemporaryDirectory(prefix="repro-train-") as tmp:

@@ -11,9 +11,8 @@ issue a whole scatter before gathering anything.
 
 Ordering is inherited from the transport's FIFO contract: one shard, one
 envelope stream, processed one at a time.  A ``mutate`` envelope is a
-barrier between the ``serve`` envelopes around it — the same guarantee the
-old inbox gave, now independent of whether the far side is the caller's
-thread, a worker thread, or another process.
+barrier between the ``serve`` envelopes around it, whether the far side is
+the caller's thread or a socket worker process.
 """
 
 from __future__ import annotations
@@ -181,10 +180,6 @@ class ShardWorker:
     # Introspection
     # ------------------------------------------------------------------
 
-    @property
-    def inbox_depth(self) -> int:
-        return int(getattr(self.transport, "inbox_depth", 0))
-
     def summary(self, telemetry_payload: dict) -> dict:
         """Shard summary row from a pulled telemetry payload."""
         stats = dict(telemetry_payload["summary"])
@@ -195,7 +190,6 @@ class ShardWorker:
             requests_routed=self.requests_routed,
             halo_requests=self.halo_requests,
             respawns=self.respawns,
-            inbox_depth=self.inbox_depth,
             cache_size=telemetry_payload["cache_size"],
         )
         return stats

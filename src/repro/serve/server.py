@@ -219,9 +219,9 @@ class InferenceServer:
     ) -> "InferenceServer":
         """Build a server from exactly (checkpoint path, serving graph).
 
-        This is the spawn path of the cluster's ``mp`` transport: a worker
-        process receives a path and a serialized shard payload, never a
-        live classifier — construction is checkpoint-driven by design so
+        This is the spawn path of the cluster's ``socket`` transport: a
+        worker process receives a checkpoint and a serialized shard
+        payload, never a live classifier — construction is checkpoint-driven by design so
         it works identically on either side of a process boundary.
         """
         return cls(load_checkpoint_classifier(path), graph, **kwargs)
@@ -237,7 +237,7 @@ class InferenceServer:
         :meth:`_version_of` — the rng-seed component and cache key of every
         answer.  Two servers with equal parameters, equal graphs and equal
         serving state are bit-identical, which is how the transport tests
-        compare an mp worker's invalidation state against an inline one's
+        compare a socket worker's invalidation state against an inline one's
         without reaching into a foreign process.
         """
         return {

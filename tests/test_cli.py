@@ -182,10 +182,10 @@ class TestServeClusterCli:
     def test_smoke_with_transport_and_metrics_port(self, capsys):
         assert main([
             "serve-cluster", "acm", "--smoke", "--shards", "2",
-            "--transport", "thread", "--metrics-port", "0",
+            "--transport", "socket", "--metrics-port", "0",
         ]) == 0
         printed = capsys.readouterr().out
-        assert "thread transport" in printed
+        assert "socket transport" in printed
         assert "metrics endpoint live at http://127.0.0.1:" in printed
         assert "cluster, warm cache" in printed
 

@@ -248,6 +248,34 @@ class TestSocketTransportProtocol:
             transport._close_socket()
             stub.close()
 
+    def test_on_down_finishes_before_waiters_wake(self):
+        """The down callback (the supervisor's bookkeeping) runs to
+        completion before any caller can observe WorkerDown — otherwise a
+        caller could recover the shard before the failure was recorded."""
+
+        def script(conn):
+            recv_message(conn)  # swallow one envelope, then hang up
+            conn.close()
+
+        finished = []
+
+        def slow_on_down(shard, reason, detail):
+            time.sleep(0.5)
+            finished.append(reason)
+
+        stub = StubServer(script)
+        transport = make_transport(stub.address, on_down=slow_on_down).start()
+        try:
+            transport.wait_ready(10.0)
+            pending = transport.send(Envelope(kind="serve", payload={"i": 0}))
+            with pytest.raises(WorkerDown):
+                pending.result(10.0)
+            assert finished, "WorkerDown raised before on_down completed"
+        finally:
+            transport._stopping = True
+            transport._close_socket()
+            stub.close()
+
     def test_hung_server_trips_heartbeat_detector(self):
         """A connected-but-silent far side is down, not slow: unanswered
         heartbeats produce WorkerDown(heartbeat_missed) in bounded time."""
@@ -373,10 +401,21 @@ class TestTransportValidation:
         assert "tcp" in message
 
     def test_unknown_mode_is_loud(self, checkpoint):
-        with pytest.raises(ValueError, match="mode"):
-            ClusterRouter.from_checkpoint(
-                checkpoint, fresh_graph(), 2, mode="fancy"
-            )
+        # The pre-transport ``mode=`` spelling is retired: no alias left.
+        for mode in ("fancy", "sync", "thread"):
+            with pytest.raises(TypeError, match="mode"):
+                ClusterRouter.from_checkpoint(
+                    checkpoint, fresh_graph(), 2, mode=mode
+                )
+
+    def test_retired_transports_are_unknown(self):
+        assert registered_transports() == ("inline", "socket")
+        for name in ("thread", "mp"):
+            with pytest.raises(ValueError) as excinfo:
+                validate_transport(name)
+            menu = str(excinfo.value).split("registered transports:\n", 1)[1]
+            listed = [line.split()[0] for line in menu.splitlines()]
+            assert listed == ["inline", "socket"]
 
     def test_validate_transport_accepts_registered(self):
         for name in registered_transports():

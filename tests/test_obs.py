@@ -658,10 +658,10 @@ class TestCrossTransportHistogramMerge:
     transports, merged at the router side, must reproduce — bit for bit —
     the exposition a single registry fed the same observations would
     render.  The payloads cross a genuine pickle boundary on ``inline``
-    and ``mp``, so this pins the lossless-histogram guarantee end to end,
+    and ``socket``, so this pins the lossless-histogram guarantee end to end,
     not just between two in-process registries."""
 
-    @pytest.mark.parametrize("transport", ["inline", "thread", "mp"])
+    @pytest.mark.parametrize("transport", ["inline", "socket"])
     def test_merged_equals_replayed_single_registry(self, transport, tmp_path):
         from repro.cluster import ClusterRouter
         from repro.core import WidenClassifier

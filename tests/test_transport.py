@@ -2,10 +2,11 @@
 
 Two layers of coverage.  The protocol layer is tested with stub engines —
 FIFO delivery, out-of-order gathers, error envelopes, timeouts, startup
-failure.  The integration layer is the satellite contract: an interleaved
-stream of mutations and embeds must produce bit-identical answers through
-the ``inline``, ``thread``, and ``mp`` transports, and all three must match
-a whole-graph :class:`InferenceServer` replaying the same stream.  Because
+failure — hosted inline and behind a real in-process shard-worker server.
+The integration layer is the exactness contract: an interleaved stream of
+mutations and embeds must produce bit-identical answers through the
+``inline`` and ``socket`` transports, and both must match a whole-graph
+:class:`InferenceServer` replaying the same stream.  Because
 every mutation is a serializable planner command applied on both sides of
 the wire, exactness here proves the router-side mirror and the engine-side
 spec never drift.
@@ -21,18 +22,19 @@ from repro.cluster import (
     ClusterRouter,
     Envelope,
     InlineTransport,
-    MpTransport,
     Reply,
     ShardError,
     ShardTimeoutError,
-    ThreadTransport,
+    ShardWorkerServer,
+    SocketTransport,
 )
+from repro.cluster import engine as engine_module
 from repro.cluster.transport import error_info
 from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.serve import InferenceServer
 
-TRANSPORTS = ["inline", "thread", "mp"]
+TRANSPORTS = ["inline", "socket"]
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +44,7 @@ def acm():
 
 @pytest.fixture(scope="module")
 def checkpoint(acm, tmp_path_factory):
-    """A reach-2 model: cheap enough to rebuild per mp worker process."""
+    """A reach-2 model: cheap enough to rebuild per socket worker process."""
     model = WidenClassifier(seed=0, dim=16, num_wide=6, num_deep=2)
     model.fit(acm.graph, acm.split.train[:40], epochs=1)
     path = tmp_path_factory.mktemp("transport") / "widen.npz"
@@ -86,7 +88,29 @@ class EchoEngine:
         return Reply(seq=envelope.seq, ok=True, payload=dict(envelope.payload))
 
 
+def no_such_shard():
+    raise RuntimeError("no such shard")
+
+
+def socket_transport(shard_id, factory):
+    """A socket channel to an in-process shard-worker server whose engine
+    is ``factory()`` (see :meth:`TestProtocol.factory_engines`)."""
+    address = ShardWorkerServer(announce=False).start_background()
+    return SocketTransport(
+        shard_id, address, {"factory": factory}, heartbeat_interval=0.0
+    )
+
+
 class TestProtocol:
+    @pytest.fixture(autouse=True)
+    def factory_engines(self, monkeypatch):
+        """Worker servers build ``engine_args["factory"]()`` instead of a
+        model engine, so stub engines ride the real wire protocol."""
+        monkeypatch.setattr(
+            engine_module, "build_engine_from_args",
+            lambda args: args["factory"](),
+        )
+
     def test_envelope_and_reply_pickle_round_trip(self):
         env = Envelope(kind="serve", payload={"nodes": np.arange(3)}, seq=9)
         back = pickle.loads(pickle.dumps(env))
@@ -100,7 +124,7 @@ class TestProtocol:
 
     @pytest.mark.parametrize("make", [
         lambda: InlineTransport(0, EchoEngine),
-        lambda: ThreadTransport(0, EchoEngine),
+        lambda: socket_transport(0, EchoEngine),
     ])
     def test_fifo_order_and_out_of_order_gather(self, make):
         transport = make()
@@ -118,7 +142,7 @@ class TestProtocol:
             transport.stop()
 
     def test_error_becomes_shard_error_with_remote_type(self):
-        transport = ThreadTransport(3, EchoEngine)
+        transport = socket_transport(3, EchoEngine)
         transport.start()
         try:
             transport.wait_ready(10.0)
@@ -135,7 +159,7 @@ class TestProtocol:
             transport.stop()
 
     def test_slow_reply_times_out(self):
-        transport = ThreadTransport(0, EchoEngine)
+        transport = socket_transport(0, EchoEngine)
         transport.start()
         try:
             transport.wait_ready(10.0)
@@ -150,10 +174,7 @@ class TestProtocol:
             transport.stop()
 
     def test_failing_engine_factory_surfaces_at_wait_ready(self):
-        def factory():
-            raise RuntimeError("no such shard")
-
-        transport = ThreadTransport(0, factory)
+        transport = socket_transport(0, no_such_shard)
         transport.start()
         with pytest.raises(RuntimeError, match="no such shard"):
             transport.wait_ready(10.0)
@@ -161,7 +182,7 @@ class TestProtocol:
 
     def test_inline_round_trips_the_wire_format(self):
         """Inline is a *replay* of the wire protocol: anything unpicklable
-        must fail on inline exactly as it would on mp."""
+        must fail on inline exactly as it would on a socket."""
         transport = InlineTransport(0, EchoEngine)
         transport.start()
         transport.wait_ready()
@@ -173,7 +194,7 @@ class TestProtocol:
 
 
 # ----------------------------------------------------------------------
-# Integration layer: interleaved mutation/embed streams, all transports
+# Integration layer: interleaved mutation/embed streams, both transports
 # ----------------------------------------------------------------------
 
 
@@ -208,7 +229,7 @@ class TestCrossTransportExactness:
     def test_interleaved_stream_bit_identical(
         self, checkpoint, stream_reference, transport
     ):
-        """The satellite contract: mutations and embeds interleaved through
+        """The exactness contract: mutations and embeds interleaved through
         every transport answer exactly what one whole-graph server does."""
         with fresh_router(checkpoint, 2, transport) as router:
             got = run_stream(router)
@@ -216,21 +237,20 @@ class TestCrossTransportExactness:
         for ours, want in zip(got, stream_reference):
             np.testing.assert_array_equal(ours, want)
 
-    def test_thread_and_mp_agree_with_inline_post_mutation(self, checkpoint):
-        """Three routers consume the same stream concurrently-shaped work;
-        their final answers must agree bit-for-bit with each other."""
+    def test_socket_agrees_with_inline_post_mutation(self, checkpoint):
+        """Both routers consume the same stream; their final answers must
+        agree bit-for-bit with each other."""
         finals = {}
         for transport in TRANSPORTS:
             with fresh_router(checkpoint, 2, transport) as router:
                 run_stream(router)
                 probe = np.arange(16)
                 finals[transport] = router.embed(probe)
-        np.testing.assert_array_equal(finals["thread"], finals["inline"])
-        np.testing.assert_array_equal(finals["mp"], finals["inline"])
+        np.testing.assert_array_equal(finals["socket"], finals["inline"])
 
-    def test_mp_four_shards_boundary_nodes_exact(self, checkpoint):
+    def test_socket_four_shards_boundary_nodes_exact(self, checkpoint):
         single = fresh_single_server(checkpoint)
-        with fresh_router(checkpoint, 4, "mp") as router:
+        with fresh_router(checkpoint, 4, "socket") as router:
             picked = []
             for worker in router.workers:
                 spec = worker.spec
@@ -256,8 +276,8 @@ class TestCrossTransportExactness:
                     assert state["graph_version"] == worker.spec.graph.version
                     assert state["version_base"] >= 0
 
-    def test_mp_error_envelope_keeps_worker_alive(self, checkpoint):
-        with fresh_router(checkpoint, 1, "mp") as router:
+    def test_socket_error_envelope_keeps_worker_alive(self, checkpoint):
+        with fresh_router(checkpoint, 1, "socket") as router:
             worker = router.workers[0]
             bad = worker.request(router.graph.num_nodes + 50, "embed")
             with pytest.raises(ShardError):
@@ -266,12 +286,12 @@ class TestCrossTransportExactness:
             value = worker.request(0, "embed").result(60.0)
             assert np.asarray(value).ndim == 1
 
-    def test_mp_replay_matches_inline_summary_counts(self, checkpoint, acm):
+    def test_socket_replay_matches_inline_summary_counts(self, checkpoint, acm):
         from repro.serve import make_trace
 
         trace = make_trace(acm.split.test[:20], 24, rate=5000.0, rng=2)
         counts = {}
-        for transport in ("inline", "mp"):
+        for transport in TRANSPORTS:
             with fresh_router(checkpoint, 2, transport) as router:
                 summary = router.replay(trace)
                 counts[transport] = (
@@ -280,4 +300,4 @@ class TestCrossTransportExactness:
                     tuple(s["requests"] for s in summary["shards"]),
                 )
                 assert summary["transport"] == transport
-        assert counts["mp"] == counts["inline"]
+        assert counts["socket"] == counts["inline"]
