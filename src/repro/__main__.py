@@ -49,12 +49,9 @@ Commands
     vs compute, serving-ladder rung counts — as JSONL
     (``--attribution-out``).  Non-zero exit if any request's rung counts
     fail to sum to its node count.
-``tune-scatter [--repeats N] [--tuning-out F]``
-    Micro-sweep the scatter-add backend crossovers on this machine and
-    print the ``REPRO_SCATTER_*`` environment settings they imply.
 ``tune-kernels [--repeats N] [--table-out F] [--tuning-out F]``
-    Superset of ``tune-scatter``: sweep the scatter-add crossovers *and*
-    the padded-vs-sparse forward crossover, persist the versioned
+    Sweep the scatter-add backend crossovers *and* the padded-vs-sparse
+    forward crossover on this machine, persist the versioned
     per-host kernel-selection table (``~/.cache/repro/kernel_table.json``
     unless ``--table-out``/``REPRO_KERNEL_TABLE`` says otherwise), which
     every later ``repro.tensor`` import auto-applies.
@@ -607,21 +604,6 @@ def _cmd_shard_worker(args: argparse.Namespace) -> int:
     return server.serve_forever()
 
 
-def _cmd_tune_scatter(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.tensor.tuning import format_report, run_tuning
-
-    dim = args.dim if args.dim is not None else 64
-    report = run_tuning(dim=dim, repeats=args.repeats)
-    print(format_report(report))
-    if args.tuning_out:
-        with open(args.tuning_out, "w") as handle:
-            json.dump(report, handle, indent=2)
-        print(f"\nwrote sweep report to {args.tuning_out}")
-    return 0
-
-
 def _cmd_tune_kernels(args: argparse.Namespace) -> int:
     import json
 
@@ -645,7 +627,7 @@ def main(argv=None) -> int:
         "command",
         choices=(
             "stats", "train", "compare", "serve-bench", "serve-cluster",
-            "store-build", "profile", "tune-scatter", "tune-kernels",
+            "store-build", "profile", "tune-kernels",
             "trace", "shard-worker",
         ),
     )
@@ -741,7 +723,7 @@ def main(argv=None) -> int:
                       help="trace: SLO report JSON output path")
     dist.add_argument("--attribution-out", default="attribution.jsonl",
                       help="trace: per-request attribution JSONL output path")
-    tune = parser.add_argument_group("tune-scatter / tune-kernels")
+    tune = parser.add_argument_group("tune-kernels")
     tune.add_argument("--repeats", type=int, default=30,
                       help="timing repeats per backend per shape (median)")
     tune.add_argument("--tuning-out", default=None,
@@ -770,7 +752,6 @@ def main(argv=None) -> int:
         "serve-cluster": _cmd_serve_cluster,
         "store-build": _cmd_store_build,
         "profile": _cmd_profile,
-        "tune-scatter": _cmd_tune_scatter,
         "tune-kernels": _cmd_tune_kernels,
         "trace": _cmd_trace,
         "shard-worker": _cmd_shard_worker,

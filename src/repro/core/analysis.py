@@ -33,8 +33,7 @@ def edge_type_attention_profile(
     graph = trainer.graph
     totals: Dict[str, float] = {}
     counts: Dict[str, int] = {}
-    trainer.model.eval()
-    with no_grad():
+    with trainer.model.eval_mode(), no_grad():
         for node in nodes:
             state = trainer.store.get(int(node))
             _, wide_attention, _ = trainer.model(
@@ -48,7 +47,6 @@ def edge_type_attention_profile(
                 name = graph.edge_type_names[int(etype)]
                 totals[name] = totals.get(name, 0.0) + float(weight)
                 counts[name] = counts.get(name, 0) + 1
-    trainer.model.train()
     return {name: totals[name] / counts[name] for name in totals}
 
 

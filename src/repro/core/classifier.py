@@ -173,34 +173,56 @@ class WidenClassifier(BaseClassifier):
                     for node, rng in zip(nodes, rngs)
                 ]
             )
-        states = []
-        for node, rng in zip(nodes, rngs):
-            store = NeighborStateStore(
+        states = self._sample_states(nodes, graph, rngs)
+        return self._eval_batch(
+            lambda batch, batch_states: self.model.forward_batch(
+                batch, batch_states, graph, None
+            )[0].data,
+            nodes,
+            states,
+        )
+
+    def _sample_states(self, nodes: np.ndarray, graph: HeteroGraph, rngs):
+        """Each node's neighbor state, sampled fresh from its own rng."""
+        config = self.config
+        return [
+            NeighborStateStore(
                 graph,
-                num_wide=self.config.num_wide,
-                num_deep=self.config.num_deep,
-                num_deep_walks=self.config.num_deep_walks,
-                wide_sampling=self.config.wide_sampling,
+                num_wide=config.num_wide,
+                num_deep=config.num_deep,
+                num_deep_walks=config.num_deep_walks,
+                wide_sampling=config.wide_sampling,
                 rng=new_rng(rng),
+            ).get(int(node))
+            for node, rng in zip(nodes, rngs)
+        ]
+
+    def _eval_batch(self, compute, *batch):
+        """``compute(*batch)`` in eval mode without autograd.
+
+        Every argument and every returned array is indexed by the batch
+        row.  BLAS dispatches single-row matmuls to gemv, whose summation
+        order differs from the gemm kernel every larger batch hits, while
+        gemm row results do not depend on which other rows share the call.
+        A batch of one is therefore run as two copies of itself, so the
+        answer carries the same bits as the same node inside any larger
+        batch — the sharded router relies on that to stay exactly equal to
+        a single server whatever the miss batches look like on either side.
+        """
+        single = len(batch[0]) == 1
+        if single:
+            batch = tuple(
+                [item[0], item[0]] if isinstance(item, list)
+                else np.concatenate([item, item], axis=0)
+                for item in batch
             )
-            states.append(store.get(int(node)))
-        # BLAS dispatches single-row matmuls to gemv, whose summation order
-        # differs from the gemm kernel every larger batch hits, while gemm
-        # row results do not depend on which other rows share the call.  Pad
-        # a batch of one with a copy of its own state so the answer carries
-        # the same bits as the same node served inside any larger batch —
-        # the sharded router relies on that to stay exactly equal to a
-        # single server whatever the miss batches look like on either side.
-        padded = nodes.size == 1
-        if padded:
-            nodes = np.concatenate([nodes, nodes])
-            states = [states[0], states[0]]
-        model = self.trainer.model
-        model.eval()
-        with no_grad():
-            embeddings, _, _ = model.forward_batch(nodes, states, graph, None)
-        model.train()
-        return embeddings.data[:1] if padded else embeddings.data
+        with self.model.eval_mode(), no_grad():
+            result = compute(*batch)
+        if not single:
+            return result
+        if isinstance(result, tuple):
+            return tuple(part[:1] for part in result)
+        return result[:1]
 
     # ------------------------------------------------------------------
     # Materialized-aggregate hooks (repro.store)
@@ -242,12 +264,14 @@ class WidenClassifier(BaseClassifier):
         return None
 
     def materialize_store_rows(self, nodes: np.ndarray, graph: HeteroGraph, rngs):
-        """Sample + pack ``nodes`` into store rows (one rng per node).
+        """Sample + pack ``nodes`` into store blocks (one rng per node).
 
-        The sampling mirrors :meth:`embed_for_serving_batch` exactly — per
-        node rng, fresh :class:`NeighborStateStore` — so rows materialized
-        with rng ``(seed, version, node)`` feed a serving answer
-        bit-identical to the recompute path under the same seeds.
+        Returns ``(blocks, lengths)`` as
+        :meth:`~repro.core.model.WidenModel.materialize_rows` lays them
+        out.  The sampling mirrors :meth:`embed_for_serving_batch` exactly
+        — per node rng, fresh :class:`NeighborStateStore` — so blocks
+        materialized with rng ``(seed, version, node)`` feed a serving
+        answer bit-identical to the recompute path under the same seeds.
         """
         if self.trainer is None:
             raise RuntimeError("materialize_store_rows before fit/bind")
@@ -258,85 +282,44 @@ class WidenClassifier(BaseClassifier):
         if len(rngs) != nodes.size:
             raise ValueError(f"{nodes.size} nodes but {len(rngs)} rngs")
         if nodes.size == 0:
-            return []
-        states = []
-        for node, rng in zip(nodes, rngs):
-            store = NeighborStateStore(
-                graph,
-                num_wide=self.config.num_wide,
-                num_deep=self.config.num_deep,
-                num_deep_walks=self.config.num_deep_walks,
-                wide_sampling=self.config.wide_sampling,
-                rng=new_rng(rng),
+            wide_cap, deep_cap = self.model.block_caps()
+            walks = self.config.num_deep_walks
+            return (
+                np.empty((0, wide_cap + walks * deep_cap, self.config.dim)),
+                np.empty((0, 1 + walks), np.int64),
             )
-            states.append(store.get(int(node)))
-        padded = nodes.size == 1
-        if padded:
-            nodes = np.concatenate([nodes, nodes])
-            states = [states[0], states[0]]
-        model = self.trainer.model
-        model.eval()
-        with no_grad():
-            rows = model.materialize_rows(nodes, states, graph)
-        model.train()
-        return rows[:1] if padded else rows
-
-    def embed_from_store_rows(self, rows) -> np.ndarray:
-        """Warm serving compute: attention + MLP over materialized rows.
-
-        No sampling, no feature projection, no edge gathers — the store
-        tier's whole point.  The gemv/gemm padding trick from
-        :meth:`embed_for_serving_batch` applies here too, so a singleton
-        answer carries the same bits as the same node in a larger batch.
-        """
-        if self.trainer is None:
-            raise RuntimeError("embed_from_store_rows before fit/bind")
-        if not rows:
-            return np.empty((0, self.config.dim))
-        padded = len(rows) == 1
-        if padded:
-            rows = [rows[0], rows[0]]
-        model = self.trainer.model
-        model.eval()
-        with no_grad():
-            embeddings = model.forward_from_rows(rows)
-        model.train()
-        return embeddings.data[:1] if padded else embeddings.data
+        states = self._sample_states(nodes, graph, rngs)
+        return self._eval_batch(
+            lambda batch, batch_states: self.model.materialize_rows(
+                batch, batch_states, graph
+            ),
+            nodes,
+            states,
+        )
 
     def embed_from_store_blocks(
         self, blocks: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
-        """:meth:`embed_from_store_rows` minus the decode/re-pad round trip.
+        """Warm serving compute: attention + MLP over store blocks.
 
-        Takes the store's ``(B, R, d)`` capacity-padded blocks and
-        ``(B, 1 + Φ)`` lengths directly — the serving hot path stacks mmap
-        block views and calls this once per batch, with no per-node trim
-        or re-pad work.  Bit-identical to the rows path (capacity padding
-        is exact); the singleton gemv/gemm padding trick applies here too.
+        No sampling, no feature projection, no edge gathers — the store
+        tier's whole point.  Takes the store's ``(B, R, d)``
+        capacity-padded blocks and ``(B, 1 + Φ)`` lengths directly — the
+        serving hot path stacks mmap block views and calls this once per
+        batch, with no per-node trim or re-pad work.
         """
         if self.trainer is None:
             raise RuntimeError("embed_from_store_blocks before fit/bind")
         blocks = np.asarray(blocks)
         if blocks.shape[0] == 0:
             return np.empty((0, self.config.dim))
-        lengths = np.asarray(lengths, np.int64)
-        padded = blocks.shape[0] == 1
-        if padded:
-            blocks = np.concatenate([blocks, blocks], axis=0)
-            lengths = np.concatenate([lengths, lengths], axis=0)
-        config = self.config
-        model = self.trainer.model
-        model.eval()
-        with no_grad():
-            embeddings = model.forward_from_blocks(
-                blocks,
-                lengths,
-                wide_cap=(config.num_wide + 1) if config.use_wide else 0,
-                deep_cap=(config.num_deep + 1) if config.use_deep else 0,
-                num_walks=config.num_deep_walks,
-            )
-        model.train()
-        return embeddings.data[:1] if padded else embeddings.data
+        return self._eval_batch(
+            lambda batch, batch_lengths: self.model.forward_from_blocks(
+                batch, batch_lengths
+            ).data,
+            blocks,
+            np.asarray(lengths, np.int64),
+        )
 
     # ------------------------------------------------------------------
     # Persistence

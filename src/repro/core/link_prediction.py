@@ -176,14 +176,12 @@ class LinkPredictionTrainer:
         """Dot-product scores for ``(m, 2)`` node-id pairs."""
         edges = np.asarray(edges, dtype=np.int64)
         nodes = np.unique(edges.reshape(-1))
-        self.model.eval()
         embeddings = {}
-        with no_grad():
+        with self.model.eval_mode(), no_grad():
             for node in nodes:
                 state = self.store.get(int(node))
                 embedding, _, _ = self.model(int(node), state, self.graph)
                 embeddings[int(node)] = embedding.data
-        self.model.train()
         weight = self.bilinear.weight.data
         return np.array(
             [float(embeddings[int(u)] @ weight @ embeddings[int(v)]) for u, v in edges]

@@ -28,14 +28,12 @@ import numpy as np
 from repro.core.config import WidenConfig
 from repro.core.packing import (
     PackedBatch,
-    PackRows,
+    block_slot_indices,
     causal_pairs,
     deep_causal_mask,
-    flat_slot_indices,
     pack_batch,
     pack_batch_sparse,
     pad_block_masks,
-    pad_pack_rows,
     padded_waste,
     segment_ids,
     segment_offsets,
@@ -58,6 +56,28 @@ from repro.tensor import Tensor, functional as F, ops
 from repro.utils.rng import SeedLike, spawn_rngs
 
 _EmbedCache = Dict[int, Tensor]
+
+
+def _split_segments(weights: np.ndarray, lengths: np.ndarray) -> List[np.ndarray]:
+    """Per-segment attention distributions, trimmed to the true lengths.
+
+    ``weights`` is a padded ``(S, L)`` grid or a flat CSR ``(E,)`` vector.
+    """
+    lengths = lengths.tolist()
+    if weights.ndim == 2:
+        return [row[:n].copy() for row, n in zip(weights, lengths)]
+    ends = np.cumsum(lengths).tolist()
+    return [weights[end - n : end].copy() for end, n in zip(ends, lengths)]
+
+
+def _segment_layout(packs: Tensor, lengths: np.ndarray):
+    """How one pass's packs split into segments, read from their layout:
+    ``(valid, attn_mask)`` for an ``(S, L, d)`` grid, ``(offsets, seg_ids)``
+    for flat ``(E, d)`` rows."""
+    if packs.data.ndim == 3:
+        return pad_block_masks(lengths, packs.data.shape[1])
+    offsets = segment_offsets(lengths)
+    return offsets, segment_ids(offsets)
 
 
 class WidenModel(Module):
@@ -416,6 +436,16 @@ class WidenModel(Module):
             embedding = F.l2_normalize(hidden, axis=-1)
         return embedding, wide_attention, deep_attentions
 
+    # ------------------------------------------------------------------
+    # Batched pipeline: pack rows → attention over segments → fuse
+    # ------------------------------------------------------------------
+    #
+    # Every batched entry point runs the same two stages.  Training and
+    # cold serving run both; store materialization stops after the first;
+    # store serving enters at the second.  Bit-equality between the store
+    # tier and the recompute oracle therefore reduces to equality of the
+    # pack rows.
+
     def forward_batch(
         self,
         targets: Sequence[int],
@@ -443,83 +473,16 @@ class WidenModel(Module):
         """
         if self._select_sparse(states):
             return self.forward_batch_sparse(targets, states, graph, node_state)
-        config = self.config
-        d = config.dim
         pack = pack_batch(
             targets,
             states,
             graph,
-            config,
+            self.config,
             pack_dropout=self.pack_dropout,
             hidden_dropout=self.hidden_dropout,
         )
-        batch = pack.batch_size
-
-        with trace_span("widen.forward", batch=batch):
-            target_vecs = ops.matmul(
-                Tensor(graph.features[pack.targets]), self.project.weight
-            )
-            if pack.neighbor_nodes.size:
-                if node_state is not None:
-                    neighbor_vecs = Tensor(node_state[pack.neighbor_nodes])
-                else:
-                    neighbor_vecs = ops.matmul(
-                        Tensor(graph.features[pack.neighbor_nodes]),
-                        self.project.weight,
-                    )
-                flat = ops.concat([target_vecs, neighbor_vecs], axis=0)
-            else:
-                flat = target_vecs
-
-            wide_attentions: List[Optional[np.ndarray]] = [None] * batch
-            if config.use_wide:
-                with trace_span("widen.wide_pass", packs=pack.wide_index.size):
-                    edge_vecs = self.edge_embedding(pack.wide_etypes)
-                    packs = ops.pad_gather_mul(
-                        flat, pack.wide_index, pack.wide_valid,
-                        edge_vecs, pack.wide_dropout,
-                    )
-                    h_wide, weights = self._attend_wide(
-                        packs, pack.wide_attn_mask, batch
-                    )
-                    wide_attentions = [
-                        weights.data[b, : pack.wide_lengths[b]].copy()
-                        for b in range(batch)
-                    ]
-            else:
-                h_wide = Tensor(np.zeros((batch, d)))
-
-            deep_attentions: List[List[np.ndarray]] = [[] for _ in range(batch)]
-            if config.use_deep:
-                total, width = pack.deep_index.shape
-                with trace_span("widen.deep_pass", packs=pack.deep_index.size):
-                    edge_vecs = self.edge_embedding(pack.deep_etypes)
-                    if pack.deep_relays:
-                        relay_rows = self.relay_vectors_bulk(
-                            pack.deep_relays, graph, node_state
-                        )
-                        flat_edges = ops.reshape(edge_vecs, (total * width, d))
-                        flat_edges = ops.scatter_rows(
-                            flat_edges, pack.deep_relay_rows, relay_rows
-                        )
-                        edge_vecs = ops.reshape(flat_edges, (total, width, d))
-                    packs = ops.pad_gather_mul(
-                        flat, pack.deep_index, pack.deep_valid,
-                        edge_vecs, pack.deep_dropout,
-                    )
-                    h_deep, weights = self._attend_deep(
-                        packs, pack.deep_attn_mask, pack.deep_causal_mask,
-                        batch, pack.num_walks,
-                    )
-                    for w in range(total):
-                        deep_attentions[w // pack.num_walks].append(
-                            weights.data[w, : pack.deep_lengths[w]].copy()
-                        )
-            else:
-                h_deep = Tensor(np.zeros((batch, d)))
-
-            embeddings = self._fuse_batch(h_wide, h_deep, pack.hidden_dropout)
-        return embeddings, wide_attentions, deep_attentions
+        with trace_span("widen.forward", batch=pack.batch_size):
+            return self._forward_pack(pack, graph, node_state)
 
     def _select_sparse(self, states: Sequence[NeighborState]) -> bool:
         """Route a batch to the CSR kernels?
@@ -557,477 +520,279 @@ class WidenModel(Module):
         ulp of the summation order (<= 1e-10), with identical dropout
         streams.
         """
-        config = self.config
-        d = config.dim
         pack = pack_batch_sparse(
             targets,
             states,
             graph,
-            config,
+            self.config,
             pack_dropout=self.pack_dropout,
             hidden_dropout=self.hidden_dropout,
         )
+        with trace_span("widen.forward", batch=pack.batch_size, kernel="sparse"):
+            return self._forward_pack(pack, graph, node_state)
+
+    def _forward_pack(
+        self,
+        pack: PackedBatch,
+        graph: HeteroGraph,
+        node_state: Optional[np.ndarray],
+    ) -> Tuple[Tensor, List[Optional[np.ndarray]], List[List[np.ndarray]]]:
+        """Both stages over one pack, plus per-target attention lists."""
         batch = pack.batch_size
-
-        with trace_span("widen.forward", batch=batch, kernel="sparse"):
-            target_vecs = ops.matmul(
-                Tensor(graph.features[pack.targets]), self.project.weight
-            )
-            if pack.neighbor_nodes.size:
-                if node_state is not None:
-                    neighbor_vecs = Tensor(node_state[pack.neighbor_nodes])
-                else:
-                    neighbor_vecs = ops.matmul(
-                        Tensor(graph.features[pack.neighbor_nodes]),
-                        self.project.weight,
-                    )
-                flat = ops.concat([target_vecs, neighbor_vecs], axis=0)
-            else:
-                flat = target_vecs
-
-            wide_attentions: List[Optional[np.ndarray]] = [None] * batch
-            if config.use_wide:
-                offsets = pack.wide_offsets
-                with trace_span("widen.wide_pass", packs=int(pack.wide_src.size)):
-                    edge_vecs = self.edge_embedding(pack.wide_etypes)
-                    packs = ops.gather_mul(
-                        flat, pack.wide_src, edge_vecs, pack.wide_dropout
-                    )
-                    h_wide, weights = self._attend_wide_sparse(
-                        packs, pack.wide_seg_ids, offsets
-                    )
-                    wide_attentions = [
-                        weights.data[offsets[b] : offsets[b + 1]].copy()
-                        for b in range(batch)
-                    ]
-            else:
-                h_wide = Tensor(np.zeros((batch, d)))
-
-            deep_attentions: List[List[np.ndarray]] = [[] for _ in range(batch)]
-            if config.use_deep:
-                offsets = pack.deep_offsets
-                total = int(pack.deep_lengths.shape[0])
-                with trace_span("widen.deep_pass", packs=int(pack.deep_src.size)):
-                    edge_vecs = self.edge_embedding(pack.deep_etypes)
-                    if pack.deep_relays:
-                        relay_rows = self.relay_vectors_bulk(
-                            pack.deep_relays, graph, node_state
-                        )
-                        edge_vecs = ops.scatter_rows(
-                            edge_vecs, pack.deep_relay_rows, relay_rows
-                        )
-                    packs = ops.gather_mul(
-                        flat, pack.deep_src, edge_vecs, pack.deep_dropout
-                    )
-                    pairs = (
-                        (pack.pair_rows, pack.pair_cols, pack.pair_offsets)
-                        if config.use_successive
-                        else None
-                    )
-                    h_deep, weights = self._attend_deep_sparse(
-                        packs, pack.deep_seg_ids, offsets, pairs,
-                        batch, pack.num_walks,
-                    )
-                    for w in range(total):
-                        deep_attentions[w // pack.num_walks].append(
-                            weights.data[offsets[w] : offsets[w + 1]].copy()
-                        )
-            else:
-                h_deep = Tensor(np.zeros((batch, d)))
-
-            embeddings = self._fuse_batch(h_wide, h_deep, pack.hidden_dropout)
+        wide, deep = self._pack_rows(pack, graph, node_state)
+        embeddings, wide_weights, deep_weights = self._attend_fuse(
+            batch, wide, pack.wide_lengths, deep, pack.deep_lengths,
+            pack.hidden_dropout,
+        )
+        wide_attentions: List[Optional[np.ndarray]] = [None] * batch
+        if wide_weights is not None:
+            wide_attentions = _split_segments(wide_weights.data, pack.wide_lengths)
+        deep_attentions: List[List[np.ndarray]] = [[] for _ in range(batch)]
+        if deep_weights is not None:
+            walks = _split_segments(deep_weights.data, pack.deep_lengths)
+            for w, weights in enumerate(walks):
+                deep_attentions[w // pack.num_walks].append(weights)
         return embeddings, wide_attentions, deep_attentions
 
-    def _attend_wide_sparse(
-        self, packs: Tensor, seg_ids: np.ndarray, offsets: np.ndarray
-    ):
-        """PASS° (Eq. 3) over flat CSR pack rows."""
-        batch = int(offsets.shape[0]) - 1
-        query = ops.pad_gather(packs, offsets[:-1], np.ones(batch))
-        return self.wide_pass.forward_sparse(
-            query, packs, packs, seg_ids, offsets
-        )
-
-    def _attend_deep_sparse(
+    def _pack_rows(
         self,
-        packs: Tensor,
-        seg_ids: np.ndarray,
-        offsets: np.ndarray,
-        pairs,
-        batch: int,
-        num_walks: int,
-    ):
-        """PASS▷ (Eqs. 4-6) over flat CSR walk-pack rows.
+        pack: PackedBatch,
+        graph: HeteroGraph,
+        node_state: Optional[np.ndarray],
+    ) -> Tuple[Optional[Tensor], Optional[Tensor]]:
+        """Stage 1, pack rows (Eqs. 1-2 and 8): ``(wide, deep)`` packs.
 
-        ``pairs`` is the ``(pair_rows, pair_cols, pair_offsets)`` causal
-        enumeration (or ``None`` when the successive refinement is
-        ablated).  Returns ``(h_deep, weights)`` with the flat per-walk
-        attention weights segmented by ``offsets``.
+        Feature projection, edge-embedding gather, relay splice, then the
+        fused gather-multiply in the pack's layout: padded ``(S, L, d)``
+        grids through ``pad_gather_mul`` or flat CSR ``(E, d)`` rows
+        through ``gather_mul``.  A disabled pass yields ``None``.
         """
         d = self.config.dim
-        total = int(offsets.shape[0]) - 1
-        if self.config.use_successive:
-            refined = self.deep_successive.forward_sparse(packs, *pairs)
-        else:
-            refined = packs
-        query = ops.pad_gather(packs, offsets[:-1], np.ones(total))
-        h_walks, weights = self.deep_pass.forward_sparse(
-            query, refined, packs, seg_ids, offsets
+        target_vecs = ops.matmul(
+            Tensor(graph.features[pack.targets]), self.project.weight
         )
-        h_deep = ops.mean(ops.reshape(h_walks, (batch, num_walks, d)), axis=1)
-        return h_deep, weights
+        if pack.neighbor_nodes.size:
+            if node_state is not None:
+                neighbor_vecs = Tensor(node_state[pack.neighbor_nodes])
+            else:
+                neighbor_vecs = ops.matmul(
+                    Tensor(graph.features[pack.neighbor_nodes]),
+                    self.project.weight,
+                )
+            flat = ops.concat([target_vecs, neighbor_vecs], axis=0)
+        else:
+            flat = target_vecs
 
-    # -- shared attention + fusion halves --------------------------------
-    #
-    # The second half of the batched forward, factored out so the store
-    # serving path (:meth:`forward_from_rows`) runs the *same* code over
-    # materialized pack rows — bit-equality between the store tier and the
-    # recompute oracle reduces to equality of the pack tensors.
+        def assemble(index, etypes, valid, dropout, relays=(), relay_rows=None):
+            edge_vecs = self.edge_embedding(etypes)
+            if relays:
+                relay_vecs = self.relay_vectors_bulk(relays, graph, node_state)
+                flat_edges = ops.reshape(edge_vecs, (index.size, d))
+                flat_edges = ops.scatter_rows(flat_edges, relay_rows, relay_vecs)
+                edge_vecs = ops.reshape(flat_edges, index.shape + (d,))
+            if valid is None:
+                return ops.gather_mul(flat, index, edge_vecs, dropout)
+            return ops.pad_gather_mul(flat, index, valid, edge_vecs, dropout)
 
-    def _attend_wide(self, packs: Tensor, mask: np.ndarray, batch: int):
-        """PASS° (Eq. 3) over a padded ``(B, Lw, d)`` pack tensor."""
-        d = self.config.dim
-        query = ops.reshape(ops.slice(packs, 0, 1, axis=1), (batch, d))
-        return self.wide_pass(query, packs, mask=mask)
+        wide = deep = None
+        if pack.wide_index is not None:
+            wide = assemble(
+                pack.wide_index, pack.wide_etypes, pack.wide_valid,
+                pack.wide_dropout,
+            )
+        if pack.deep_index is not None:
+            deep = assemble(
+                pack.deep_index, pack.deep_etypes, pack.deep_valid,
+                pack.deep_dropout, pack.deep_relays, pack.deep_relay_rows,
+            )
+        return wide, deep
 
-    def _attend_deep(
+    def _attend_fuse(
         self,
-        packs: Tensor,
-        attn_mask: np.ndarray,
-        causal_mask_batch: np.ndarray,
         batch: int,
-        num_walks: int,
-    ):
-        """PASS▷ (Eqs. 4-6) over padded ``(B·Φ, Ld, d)`` walk packs.
+        wide: Optional[Tensor],
+        wide_lengths: Optional[np.ndarray],
+        deep: Optional[Tensor],
+        deep_lengths: Optional[np.ndarray],
+        hidden_dropout: Optional[np.ndarray] = None,
+    ) -> Tuple[Tensor, Optional[Tensor], Optional[Tensor]]:
+        """Stage 2, attention over segments then fuse (Eqs. 3-7).
 
-        Returns ``(h_deep, weights)`` with ``h_deep`` the ``(B, d)``
-        average pool over the Φ walks and ``weights`` the raw per-walk
-        attention distributions (still padded; callers trim).
+        ``wide`` holds one segment per target and ``deep`` one per walk
+        (``w = b·Φ + j``), target pack first, with true lengths alongside.
+        The layout is read from the array: an ``(S, L, d)`` grid runs the
+        padded kernels under masks derived from the lengths, an ``(E, d)``
+        matrix runs the segment kernels.  ``None`` skips a pass (its
+        ablation).  Returns ``(embeddings, wide_weights, deep_weights)``
+        with the weights in the packs' layout.
         """
-        d = self.config.dim
-        total = int(packs.data.shape[0])
-        if self.config.use_successive:
-            refined, _ = self.deep_successive(packs, mask=causal_mask_batch)
+        config = self.config
+        d = config.dim
+        wide_weights = deep_weights = None
+        if wide is not None:
+            with trace_span("widen.wide_pass", packs=int(wide.data[..., 0].size)):
+                h_wide, wide_weights = self._query_pass(
+                    self.wide_pass, wide, wide, _segment_layout(wide, wide_lengths)
+                )
         else:
-            refined = packs
-        query = ops.reshape(ops.slice(packs, 0, 1, axis=1), (total, d))
-        h_walks, weights = self.deep_pass(
-            query, refined, values=packs, mask=attn_mask
-        )
-        h_deep = ops.mean(ops.reshape(h_walks, (batch, num_walks, d)), axis=1)
-        return h_deep, weights
+            h_wide = Tensor(np.zeros((batch, d)))
 
-    def _fuse_batch(
-        self,
-        h_wide: Tensor,
-        h_deep: Tensor,
-        hidden_dropout: Optional[np.ndarray],
-    ) -> Tensor:
-        """FUSE (Eq. 7) for a batch: ``normalize(ReLU(W [h°; h▷] + b))``."""
+        if deep is not None:
+            with trace_span("widen.deep_pass", packs=int(deep.data[..., 0].size)):
+                segments = _segment_layout(deep, deep_lengths)
+                refined = deep
+                if config.use_successive:
+                    refined = self._successive(deep, segments)
+                h_walks, deep_weights = self._query_pass(
+                    self.deep_pass, deep, refined, segments
+                )
+                num_walks = int(deep_lengths.shape[0]) // batch
+                # Average pooling over the Φ walks.
+                h_deep = ops.mean(
+                    ops.reshape(h_walks, (batch, num_walks, d)), axis=1
+                )
+        else:
+            h_deep = Tensor(np.zeros((batch, d)))
+
         hidden = ops.relu(self.fuse(ops.concat([h_wide, h_deep], axis=1)))
         if hidden_dropout is not None:
             hidden = ops.dropout_mask(hidden, hidden_dropout)
-        return F.l2_normalize(hidden, axis=-1)
+        return F.l2_normalize(hidden, axis=-1), wide_weights, deep_weights
+
+    def _query_pass(
+        self, unit: QueryAttention, packs: Tensor, keys: Tensor, segments
+    ):
+        """Each segment's target pack (row 0) queries ``keys`` and
+        aggregates ``packs`` (PASS° Eq. 3 / PASS▷ Eq. 5)."""
+        if packs.data.ndim == 3:
+            _, mask = segments
+            query = ops.reshape(
+                ops.slice(packs, 0, 1, axis=1),
+                (packs.data.shape[0], self.config.dim),
+            )
+            return unit(query, keys, values=packs, mask=mask)
+        offsets, seg_ids = segments
+        query = ops.pad_gather(packs, offsets[:-1], np.ones(offsets.size - 1))
+        return unit.forward_sparse(query, keys, packs, seg_ids, offsets)
+
+    def _successive(self, packs: Tensor, segments) -> Tensor:
+        """Successive self-attention under the causal mask Θ (Eqs. 4, 6)."""
+        if packs.data.ndim == 3:
+            refined, _ = self.deep_successive(
+                packs, mask=deep_causal_mask(*segments)
+            )
+            return refined
+        offsets, _ = segments
+        return self.deep_successive.forward_sparse(packs, *causal_pairs(offsets))
 
     # ------------------------------------------------------------------
-    # Materialized pack rows (repro.store)
+    # Store blocks (repro.store)
     # ------------------------------------------------------------------
+
+    def block_caps(self) -> Tuple[int, int]:
+        """Rows of a store block's wide section and of each walk section:
+        the sampling caps plus the target pack, 0 for a disabled pass."""
+        config = self.config
+        return (
+            config.num_wide + 1 if config.use_wide else 0,
+            config.num_deep + 1 if config.use_deep else 0,
+        )
 
     def materialize_rows(
         self,
         targets: Sequence[int],
         states: Sequence[NeighborState],
         graph: HeteroGraph,
-    ) -> List[PackRows]:
-        """The first half of :meth:`forward_batch`, stopped at the packs.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Stage 1 alone, laid out as the store's blocks.
 
-        Runs sampling-dependent work — feature projection, edge-embedding
-        gathers, relay evaluation, the ``pad_gather_mul`` pack assembly —
-        and returns each target's pack matrices trimmed to true lengths
-        (:class:`PackRows`).  Always evaluates without dropout (dropout
-        modules are bypassed entirely, so no rng stream is consumed); the
-        values are exactly what the eval-mode batched forward would feed
-        its attention stages, which is what makes a later
-        :meth:`forward_from_rows` bit-equal to the full recompute.
+        Returns ``(blocks, lengths)``: ``(B, R, d)`` blocks holding each
+        target's wide pack matrix and then its Φ walk matrices, each
+        zero-padded to its sampling cap, and ``(B, 1 + Φ)`` true lengths
+        (wide first).  Runs without dropout (no rng stream is consumed) and
+        on fresh feature projections, so the rows are exactly what eval-mode
+        :meth:`forward_batch` with ``node_state=None`` feeds its attention —
+        which is what makes :meth:`forward_from_blocks` over them bit-equal
+        to the full recompute.
         """
         config = self.config
         d = config.dim
-        pack = pack_batch(targets, states, graph, config)
+        num_walks = config.num_deep_walks
+        wide_cap, deep_cap = self.block_caps()
+        pack = pack_batch_sparse(targets, states, graph, config)
         batch = pack.batch_size
 
         with trace_span("widen.materialize", batch=batch):
-            target_vecs = ops.matmul(
-                Tensor(graph.features[pack.targets]), self.project.weight
+            wide, deep = self._pack_rows(pack, graph, None)
+            lengths = np.zeros((batch, 1 + num_walks), np.int64)
+            if wide is not None:
+                lengths[:, 0] = pack.wide_lengths
+            if deep is not None:
+                lengths[:, 1:] = pack.deep_lengths.reshape(batch, num_walks)
+            wide_slots, deep_slots = block_slot_indices(
+                lengths, wide_cap, deep_cap, num_walks
             )
-            if pack.neighbor_nodes.size:
-                neighbor_vecs = ops.matmul(
-                    Tensor(graph.features[pack.neighbor_nodes]),
-                    self.project.weight,
-                )
-                flat = ops.concat([target_vecs, neighbor_vecs], axis=0)
-            else:
-                flat = target_vecs
+            capacity = wide_cap + num_walks * deep_cap
+            blocks = np.zeros((batch * capacity, d))
+            if wide is not None:
+                blocks[wide_slots] = wide.data
+            if deep is not None:
+                blocks[deep_slots] = deep.data
+        return blocks.reshape(batch, capacity, d), lengths
 
-            wide_rows: List[Optional[np.ndarray]] = [None] * batch
-            if config.use_wide:
-                edge_vecs = self.edge_embedding(pack.wide_etypes)
-                packs = ops.pad_gather_mul(
-                    flat, pack.wide_index, pack.wide_valid, edge_vecs, None
-                )
-                wide_rows = [
-                    packs.data[b, : int(pack.wide_lengths[b])].copy()
-                    for b in range(batch)
-                ]
+    def forward_from_blocks(self, blocks: np.ndarray, lengths: np.ndarray) -> Tensor:
+        """Stage 2 over store blocks: ``(B, d)`` embeddings.
 
-            deep_rows: List[List[np.ndarray]] = [[] for _ in range(batch)]
-            if config.use_deep:
-                total, width = pack.deep_index.shape
-                edge_vecs = self.edge_embedding(pack.deep_etypes)
-                if pack.deep_relays:
-                    relay_rows = self.relay_vectors_bulk(
-                        pack.deep_relays, graph, None
-                    )
-                    flat_edges = ops.reshape(edge_vecs, (total * width, d))
-                    flat_edges = ops.scatter_rows(
-                        flat_edges, pack.deep_relay_rows, relay_rows
-                    )
-                    edge_vecs = ops.reshape(flat_edges, (total, width, d))
-                packs = ops.pad_gather_mul(
-                    flat, pack.deep_index, pack.deep_valid, edge_vecs, None
-                )
-                for w in range(total):
-                    deep_rows[w // pack.num_walks].append(
-                        packs.data[w, : int(pack.deep_lengths[w])].copy()
-                    )
-
-        return [
-            PackRows(wide=wide_rows[b], deep=deep_rows[b]) for b in range(batch)
-        ]
-
-    def forward_from_rows(self, rows: Sequence[PackRows]) -> Tensor:
-        """The second half of :meth:`forward_batch`, fed from stored rows.
-
-        Reassembles the padded pack tensors and masks with the exact
-        padding convention of :func:`pack_batch` (zero rows, additive
-        0/-inf masks, self-attending padded walk rows) and runs the shared
-        attention + fusion halves — no sampling, no projection, no edge
-        gathers.  For rows produced by :meth:`materialize_rows` from the
-        same sampled neighborhoods, the returned ``(B, d)`` embeddings are
-        bit-identical to eval-mode :meth:`forward_batch`.
+        ``blocks``/``lengths`` are laid out as :meth:`materialize_rows`
+        returns them and the store persists them.  ``forward_mode="sparse"``
+        gathers the valid rows into flat CSR packs; every other mode feeds
+        the blocks to the padded kernels as stored.  Padding to capacity
+        rather than the batch maximum is exact (zero rows under ``-inf``
+        mask entries contribute nothing), so the result is bit-identical to
+        eval-mode :meth:`forward_batch` over the same sampled states.
         """
         config = self.config
         d = config.dim
-        batch = len(rows)
-        if batch == 0:
-            raise ValueError("forward_from_rows requires at least one row set")
-        if config.forward_mode == "sparse":
-            return self._forward_from_rows_sparse(rows)
-
-        with trace_span("widen.forward_from_rows", batch=batch):
-            if config.use_wide:
-                padded, _, attn_mask, _ = pad_pack_rows(
-                    [row.wide for row in rows], d
-                )
-                with trace_span("widen.wide_pass", packs=int(padded[..., 0].size)):
-                    h_wide, _ = self._attend_wide(
-                        Tensor(padded), attn_mask, batch
-                    )
-            else:
-                h_wide = Tensor(np.zeros((batch, d)))
-
-            if config.use_deep:
-                num_walks = len(rows[0].deep)
-                for row in rows:
-                    if len(row.deep) != num_walks:
-                        raise ValueError(
-                            "all row sets must carry the same walk count Φ"
-                        )
-                walks = [walk for row in rows for walk in row.deep]
-                padded, valid, attn_mask, _ = pad_pack_rows(walks, d)
-                causal = deep_causal_mask(valid, attn_mask)
-                with trace_span("widen.deep_pass", packs=int(padded[..., 0].size)):
-                    h_deep, _ = self._attend_deep(
-                        Tensor(padded), attn_mask, causal, batch, num_walks
-                    )
-            else:
-                h_deep = Tensor(np.zeros((batch, d)))
-
-            return self._fuse_batch(h_wide, h_deep, None)
-
-    def forward_from_blocks(
-        self,
-        blocks: np.ndarray,
-        lengths: np.ndarray,
-        *,
-        wide_cap: int,
-        deep_cap: int,
-        num_walks: int,
-    ) -> Tensor:
-        """:meth:`forward_from_rows` over capacity-padded store blocks.
-
-        ``blocks`` is ``(B, R, d)`` exactly as the store persists it —
-        wide rows first, then Φ contiguous walk segments, zero-padded to
-        the sampling caps — and ``lengths`` is ``(B, 1 + Φ)``.  The blocks
-        feed attention *as stored*: no per-row trimming, no re-padding, no
-        per-node Python.  Masks come from :func:`pad_block_masks`, and
-        padding to capacity rather than the batch maximum is exact (zero
-        rows under ``-inf`` mask entries contribute nothing), so the
-        result is bit-identical to :meth:`forward_from_rows` on the
-        decoded rows — and hence to the full recompute.
-        """
-        config = self.config
-        d = config.dim
+        num_walks = config.num_deep_walks
+        wide_cap, deep_cap = self.block_caps()
+        blocks = np.asarray(blocks)
+        lengths = np.asarray(lengths, np.int64)
         batch = int(blocks.shape[0])
         if batch == 0:
             raise ValueError("forward_from_blocks requires at least one block")
-        if config.forward_mode == "sparse":
-            return self._forward_from_blocks_sparse(
-                blocks, lengths,
-                wide_cap=wide_cap, deep_cap=deep_cap, num_walks=num_walks,
+        capacity = wide_cap + num_walks * deep_cap
+        if blocks.shape[1:] != (capacity, d) or lengths.shape != (batch, 1 + num_walks):
+            raise ValueError(
+                f"blocks {blocks.shape} / lengths {lengths.shape} do not match "
+                f"this model's ({capacity}, {d}) block geometry"
             )
+        wide_lengths = lengths[:, 0] if config.use_wide else None
+        deep_lengths = lengths[:, 1:].reshape(-1) if config.use_deep else None
 
         with trace_span("widen.forward_from_blocks", batch=batch):
-            if config.use_wide:
-                packs = np.ascontiguousarray(blocks[:, :wide_cap, :])
-                _, attn_mask = pad_block_masks(lengths[:, 0], wide_cap)
-                with trace_span("widen.wide_pass", packs=int(packs[..., 0].size)):
-                    h_wide, _ = self._attend_wide(
-                        Tensor(packs), attn_mask, batch
-                    )
-            else:
-                h_wide = Tensor(np.zeros((batch, d)))
-
-            if config.use_deep:
-                walk_packs = np.ascontiguousarray(
-                    blocks[:, wide_cap:, :]
-                ).reshape(batch * num_walks, deep_cap, d)
-                valid, attn_mask = pad_block_masks(
-                    lengths[:, 1:].reshape(batch * num_walks), deep_cap
+            wide = deep = None
+            if config.forward_mode == "sparse":
+                flat = blocks.reshape(batch * capacity, d)
+                wide_slots, deep_slots = block_slot_indices(
+                    lengths, wide_cap, deep_cap, num_walks
                 )
-                causal = deep_causal_mask(valid, attn_mask)
-                with trace_span(
-                    "widen.deep_pass", packs=int(walk_packs[..., 0].size)
-                ):
-                    h_deep, _ = self._attend_deep(
-                        Tensor(walk_packs), attn_mask, causal, batch, num_walks
-                    )
+                if config.use_wide:
+                    wide = Tensor(flat[wide_slots])
+                if config.use_deep:
+                    deep = Tensor(flat[deep_slots])
             else:
-                h_deep = Tensor(np.zeros((batch, d)))
-
-            return self._fuse_batch(h_wide, h_deep, None)
-
-    def _forward_from_rows_sparse(self, rows: Sequence[PackRows]) -> Tensor:
-        """:meth:`forward_from_rows` on the CSR kernels — no re-padding.
-
-        Stored rows are already trimmed to true lengths, so sparse
-        assembly is a straight concatenation: each row set becomes one CSR
-        segment.  The pack values are identical to what ``gather_mul``
-        would produce (the padded materializer multiplies valid slots by
-        exactly 1.0), so the result is bit-identical to the sparse
-        recompute path.
-        """
-        config = self.config
-        d = config.dim
-        batch = len(rows)
-
-        with trace_span("widen.forward_from_rows", batch=batch, kernel="sparse"):
-            if config.use_wide:
-                wide_rows = [row.wide for row in rows]
-                offsets = segment_offsets(
-                    np.array([r.shape[0] for r in wide_rows], np.int64)
-                )
-                packs = Tensor(np.concatenate(wide_rows, axis=0))
-                with trace_span("widen.wide_pass", packs=int(offsets[-1])):
-                    h_wide, _ = self._attend_wide_sparse(
-                        packs, segment_ids(offsets), offsets
-                    )
-            else:
-                h_wide = Tensor(np.zeros((batch, d)))
-
-            if config.use_deep:
-                num_walks = len(rows[0].deep)
-                for row in rows:
-                    if len(row.deep) != num_walks:
-                        raise ValueError(
-                            "all row sets must carry the same walk count Φ"
+                if config.use_wide:
+                    wide = Tensor(np.ascontiguousarray(blocks[:, :wide_cap, :]))
+                if config.use_deep:
+                    deep = Tensor(
+                        np.ascontiguousarray(blocks[:, wide_cap:, :]).reshape(
+                            batch * num_walks, deep_cap, d
                         )
-                walks = [walk for row in rows for walk in row.deep]
-                offsets = segment_offsets(
-                    np.array([walk.shape[0] for walk in walks], np.int64)
-                )
-                packs = Tensor(np.concatenate(walks, axis=0))
-                pairs = (
-                    causal_pairs(offsets) if config.use_successive else None
-                )
-                with trace_span("widen.deep_pass", packs=int(offsets[-1])):
-                    h_deep, _ = self._attend_deep_sparse(
-                        packs, segment_ids(offsets), offsets, pairs,
-                        batch, num_walks,
                     )
-            else:
-                h_deep = Tensor(np.zeros((batch, d)))
-
-            return self._fuse_batch(h_wide, h_deep, None)
-
-    def _forward_from_blocks_sparse(
-        self,
-        blocks: np.ndarray,
-        lengths: np.ndarray,
-        *,
-        wide_cap: int,
-        deep_cap: int,
-        num_walks: int,
-    ) -> Tensor:
-        """:meth:`forward_from_blocks` on the CSR kernels.
-
-        Gathers only the valid slots out of the capacity-padded blocks
-        (:func:`flat_slot_indices`) into flat CSR pack arrays — the
-        serving hot path reads exactly the real rows and the attention
-        stages never see capacity padding at all.
-        """
-        config = self.config
-        d = config.dim
-        batch = int(blocks.shape[0])
-        capacity = int(blocks.shape[1])
-        flat_blocks = blocks.reshape(batch * capacity, d)
-
-        with trace_span(
-            "widen.forward_from_blocks", batch=batch, kernel="sparse"
-        ):
-            if config.use_wide:
-                starts = np.arange(batch, dtype=np.int64) * capacity
-                indices, offsets = flat_slot_indices(lengths[:, 0], starts)
-                packs = Tensor(flat_blocks[indices])
-                with trace_span("widen.wide_pass", packs=int(offsets[-1])):
-                    h_wide, _ = self._attend_wide_sparse(
-                        packs, segment_ids(offsets), offsets
-                    )
-            else:
-                h_wide = Tensor(np.zeros((batch, d)))
-
-            if config.use_deep:
-                starts = (
-                    np.arange(batch, dtype=np.int64)[:, np.newaxis] * capacity
-                    + wide_cap
-                    + np.arange(num_walks, dtype=np.int64)[np.newaxis, :]
-                    * deep_cap
-                ).reshape(-1)
-                indices, offsets = flat_slot_indices(
-                    lengths[:, 1:].reshape(batch * num_walks), starts
-                )
-                packs = Tensor(flat_blocks[indices])
-                pairs = (
-                    causal_pairs(offsets) if config.use_successive else None
-                )
-                with trace_span("widen.deep_pass", packs=int(offsets[-1])):
-                    h_deep, _ = self._attend_deep_sparse(
-                        packs, segment_ids(offsets), offsets, pairs,
-                        batch, num_walks,
-                    )
-            else:
-                h_deep = Tensor(np.zeros((batch, d)))
-
-            return self._fuse_batch(h_wide, h_deep, None)
+            embeddings, _, _ = self._attend_fuse(
+                batch, wide, wide_lengths, deep, deep_lengths
+            )
+        return embeddings
 
     def logits(self, embeddings: Tensor) -> Tensor:
         """Class logits ``v' C`` (Eq. 10, pre-softmax)."""

@@ -4,24 +4,28 @@ The per-node reference path (:meth:`WidenModel.forward`) builds one small
 ``(L + 1, d)`` pack matrix per target and per walk and runs attention on
 each — thousands of tiny op calls per epoch.  This module assembles the
 *indices* for a whole minibatch up front so the model can execute the same
-mathematics as a handful of batched tensor ops:
+mathematics as a handful of batched tensor ops.
 
-- every wide set becomes one row of a padded ``(B, Lw)`` index/etype grid;
-- every deep walk becomes one row of a padded ``(B·Φ, Ld)`` grid;
-- validity masks (1/0) zero out padded node rows at gather time, and
-  additive attention masks (0/-inf) give padded slots exactly zero softmax
-  weight — so padding is numerically inert, not approximately so.
+One walk over the neighbor states (:func:`pack_batch_sparse`) produces the
+CSR description: every wide set and every deep walk becomes one segment of
+flat ``(E,)`` index/etype arrays.  :func:`pack_batch` lays that same
+description out as padded grids — every wide set one row of a ``(B, Lw)``
+grid, every walk one row of a ``(B·Φ, Ld)`` grid — with 1/0 validity grids
+that zero padded node rows at gather time.  Attention masks are derived
+from the true lengths (:func:`pad_block_masks`, :func:`deep_causal_mask`),
+and their ``-inf`` entries give padded slots exactly zero softmax weight —
+so padding is numerically inert, not approximately so.
 
 Relay edges (Eq. 8) cannot be table lookups: they are re-evaluated against
 current parameters each forward.  The pack records their flat positions so
-:meth:`WidenModel.forward_batch` can splice the evaluated rows into the
-edge matrix with one ``scatter_rows``.
+the model can splice the evaluated rows into the edge matrix with one
+``scatter_rows``.
 
 Dropout reproducibility: the per-node path draws one mask per pack matrix
 (wide, then each walk, then the hidden vector) in target order.  When the
-dropout modules are passed in, :func:`pack_batch` consumes the rng streams
-in exactly that order and assembles the draws into padded batch masks, so
-the batched path's training losses are bit-identical to the reference.
+dropout modules are passed in, the packer consumes the rng streams in
+exactly that order and assembles the draws into batch masks, so the
+batched paths' training losses are bit-identical to the reference.
 """
 
 from __future__ import annotations
@@ -43,56 +47,14 @@ _NEG_INF = float("-inf")
 _CAUSAL_BASES: Dict[int, np.ndarray] = {}
 
 
-@dataclass
-class PackRows:
-    """One target's materialized pack matrices, trimmed to true lengths.
-
-    ``wide`` is the ``(|W| + 1, d)`` matrix ``M°`` (Eq. 1) and ``deep``
-    holds Φ matrices ``M▷`` (Eq. 2), each ``(|D_j| + 1, d)`` with the
-    target pack in row 0 — exactly the values :func:`pad_gather_mul`
-    produces in eval mode, before any attention.  These rows are what
-    ``repro.store`` persists: re-running attention + fuse over them
-    (:meth:`WidenModel.forward_from_rows`) reproduces the full forward
-    bit-for-bit without sampling, feature projection or edge gathers.
-    """
-
-    wide: Optional[np.ndarray]
-    deep: List[np.ndarray]
-
-    def nbytes(self) -> int:
-        total = 0 if self.wide is None else self.wide.nbytes
-        return total + sum(walk.nbytes for walk in self.deep)
-
-
-def pad_pack_rows(rows: Sequence[np.ndarray], dim: int):
-    """Stack trimmed pack matrices into a padded batch tensor + masks.
-
-    Returns ``(padded, valid, attn_mask, lengths)`` with the identical
-    padding convention as :func:`pack_batch`: padded slots are exactly
-    zero and carry ``-inf`` additive mask entries, so attention over the
-    reassembled tensor is bit-equal to attention over the original
-    gather output — padding is numerically inert, not approximately so.
-    """
-    lengths = np.array([row.shape[0] for row in rows], np.int64)
-    width = int(lengths.max())
-    padded = np.zeros((len(rows), width, dim))
-    valid = np.zeros((len(rows), width))
-    for i, row in enumerate(rows):
-        padded[i, : row.shape[0]] = row
-        valid[i, : row.shape[0]] = 1.0
-    attn_mask = np.where(valid > 0.0, 0.0, _NEG_INF)
-    return padded, valid, attn_mask, lengths
-
-
 def pad_block_masks(lengths: np.ndarray, width: int):
-    """``(valid, attn_mask)`` for capacity-padded blocks, no Python loops.
+    """``(valid, attn_mask)`` for padded pack grids, no Python loops.
 
-    Store blocks are persisted zero-padded to a fixed capacity, so the
-    serving hot path never re-packs rows — it only needs masks derived
-    from the true lengths.  Padding to capacity instead of the batch
-    maximum is numerically inert for the same reason :func:`pad_pack_rows`
-    padding is: padded slots are exactly zero, carry ``-inf`` mask
-    entries, and appending exact zeros to a summation changes nothing.
+    Slot ``j`` of row ``i`` is valid when ``j < lengths[i]``.  Padding to
+    any width at least the longest row — the batch maximum, or a store
+    block's fixed capacity — is numerically inert: padded slots are exactly
+    zero, carry ``-inf`` mask entries, and appending exact zeros to a
+    summation changes nothing.
     """
     valid = (
         np.arange(width) < np.asarray(lengths, np.int64).reshape(-1, 1)
@@ -170,10 +132,10 @@ def flat_slot_indices(lengths: np.ndarray, starts: np.ndarray):
     """Gather indices selecting the first ``lengths[i]`` slots per segment.
 
     ``starts[i]`` is segment ``i``'s base position in some flat row matrix
-    (e.g. a capacity-padded store block reshaped to ``(B·R, d)``).  Returns
-    ``(indices, offsets)`` where ``indices`` picks the valid slots of every
-    segment back-to-back — the bridge from capacity-padded storage to the
-    CSR kernels.
+    (e.g. a padded grid or a capacity-padded store block reshaped to
+    ``(B·R, d)``).  Returns ``(indices, offsets)`` where ``indices`` picks
+    the valid slots of every segment back-to-back — the bridge between
+    padded layouts and the CSR kernels, in both directions.
     """
     lengths = np.asarray(lengths, np.int64)
     starts = np.asarray(starts, np.int64)
@@ -181,6 +143,33 @@ def flat_slot_indices(lengths: np.ndarray, starts: np.ndarray):
     total = int(offsets[-1])
     within = np.arange(total, dtype=np.int64) - np.repeat(offsets[:-1], lengths)
     return np.repeat(starts, lengths) + within, offsets
+
+
+def block_slot_indices(
+    lengths: np.ndarray, wide_cap: int, deep_cap: int, num_walks: int
+):
+    """Flat positions of the valid wide and deep rows in ``(B, R, d)`` blocks.
+
+    A block is the store's per-node layout: the wide pack matrix in rows
+    ``[0, wide_cap)``, then Φ walk matrices of ``deep_cap`` rows each, all
+    zero-padded.  ``lengths`` is ``(B, 1 + Φ)`` (wide first).  Returns
+    ``(wide_slots, deep_slots)`` into the blocks reshaped to ``(B·R, d)``,
+    each in CSR order (target by target, walk by walk).
+    """
+    lengths = np.asarray(lengths, np.int64)
+    batch = lengths.shape[0]
+    capacity = wide_cap + num_walks * deep_cap
+    bases = np.arange(batch, dtype=np.int64) * capacity
+    wide_slots, _ = flat_slot_indices(lengths[:, 0], bases)
+    walk_starts = (
+        bases[:, np.newaxis]
+        + wide_cap
+        + np.arange(num_walks, dtype=np.int64)[np.newaxis, :] * deep_cap
+    )
+    deep_slots, _ = flat_slot_indices(
+        lengths[:, 1:].reshape(-1), walk_starts.reshape(-1)
+    )
+    return wide_slots, deep_slots
 
 
 def _observe_padding(
@@ -239,34 +228,42 @@ class PackedBatch:
     unique neighbor embeddings (U)]``: slot indices below ``B`` address a
     target's trainable projection, the rest address ``neighbor_nodes``.
     All arrays are plain numpy — no gradients flow through the pack itself.
+
+    Each pass (wide: one segment per target; deep: one segment per walk,
+    ``w = b·Φ + j``) comes in one of two layouts, target pack first in
+    every segment:
+
+    - CSR (:func:`pack_batch_sparse`): ``*_index``/``*_etypes`` are flat
+      ``(E,)`` arrays with the segments back to back, ``*_valid`` is None.
+    - padded (:func:`pack_batch`): ``(S, L)`` grids, one segment per row,
+      with ``*_valid`` 1.0 at real slots and 0.0 at padding (index and
+      etype 0 there).
+
+    ``deep_relay_rows`` are flat positions into ``deep_index.ravel()``, and
+    dropout masks have the index shape plus ``(d,)`` (ones at padding).
     """
 
     targets: np.ndarray            # (B,) target node ids
     neighbor_nodes: np.ndarray     # (U,) unique neighbor ids -> flat rows B..B+U-1
 
-    # Wide grids, padded to Lw = max(|W_b| + 1); row layout: target pack first.
-    wide_index: Optional[np.ndarray] = None       # (B, Lw) flat row per slot
-    wide_valid: Optional[np.ndarray] = None       # (B, Lw) 1.0 valid / 0.0 pad
-    wide_etypes: Optional[np.ndarray] = None      # (B, Lw) edge-type ids (pad: 0)
-    wide_attn_mask: Optional[np.ndarray] = None   # (B, Lw) additive 0 / -inf
+    wide_index: Optional[np.ndarray] = None       # flat node row per slot
+    wide_etypes: Optional[np.ndarray] = None      # edge-type ids
+    wide_valid: Optional[np.ndarray] = None       # padded layout only
     wide_lengths: Optional[np.ndarray] = None     # (B,) valid packs incl. target
 
-    # Deep grids: the B×Φ walks flatten to W = B·Φ rows, padded to Ld.
     num_walks: int = 0
-    deep_index: Optional[np.ndarray] = None       # (W, Ld)
-    deep_valid: Optional[np.ndarray] = None       # (W, Ld)
-    deep_etypes: Optional[np.ndarray] = None      # (W, Ld)
-    deep_attn_mask: Optional[np.ndarray] = None   # (W, Ld) for PASS▷'s query
-    deep_causal_mask: Optional[np.ndarray] = None # (W, Ld, Ld) Θ + key padding
-    deep_lengths: Optional[np.ndarray] = None     # (W,)
+    deep_index: Optional[np.ndarray] = None
+    deep_etypes: Optional[np.ndarray] = None
+    deep_valid: Optional[np.ndarray] = None
+    deep_lengths: Optional[np.ndarray] = None     # (B·Φ,)
     deep_relay_rows: np.ndarray = field(
         default_factory=lambda: np.empty(0, np.int64)
-    )                                             # flat rows into (W·Ld, d)
+    )
     deep_relays: List[RelayRecipe] = field(default_factory=list)
 
     # Scaled dropout masks drawn in per-node rng order (None in eval mode).
-    wide_dropout: Optional[np.ndarray] = None     # (B, Lw, d)
-    deep_dropout: Optional[np.ndarray] = None     # (W, Ld, d)
+    wide_dropout: Optional[np.ndarray] = None
+    deep_dropout: Optional[np.ndarray] = None
     hidden_dropout: Optional[np.ndarray] = None   # (B, d)
 
     @property
@@ -278,32 +275,38 @@ def _draw(dropout, shape):
     return None if dropout is None else dropout.draw_mask(shape)
 
 
-def pack_batch(
-    targets: Sequence[int],
-    states: Sequence[NeighborState],
-    graph: HeteroGraph,
-    config: WidenConfig,
-    pack_dropout=None,
-    hidden_dropout=None,
-    dim: Optional[int] = None,
-) -> PackedBatch:
-    """Assemble padded index grids and masks for ``B`` targets.
+def _csr_segments(heads, loop_types, node_lists, etype_lists, neighbor_nodes, batch):
+    """One pass's CSR arrays: each segment is its head slot then its nodes.
 
-    ``pack_dropout``/``hidden_dropout`` are the model's :class:`Dropout`
-    modules (or ``None``); their rng streams are consumed in per-node order
-    so training stays bit-identical with the reference path.  ``dim``
-    defaults to ``config.dim`` and sizes the dropout masks.
+    ``heads[s]`` is the flat row of segment ``s``'s target pack (the
+    target's own projection) and ``loop_types[s]`` its self-loop type.
     """
+    lengths = np.array([nodes.size + 1 for nodes in node_lists], np.int64)
+    offsets = segment_offsets(lengths)
+    index = np.empty(int(offsets[-1]), np.int64)
+    etypes = np.empty(int(offsets[-1]), np.int64)
+    tail = np.ones(index.size, bool)
+    tail[offsets[:-1]] = False
+    index[offsets[:-1]] = heads
+    etypes[offsets[:-1]] = loop_types
+    index[tail] = batch + np.searchsorted(
+        neighbor_nodes, np.concatenate(node_lists)
+    )
+    etypes[tail] = np.concatenate(etype_lists)
+    return index, etypes, lengths, offsets
+
+
+def _pack_csr(targets, states, graph, config, pack_dropout, hidden_dropout, dim):
+    """The one walk over the neighbor states: a CSR :class:`PackedBatch`."""
     targets = np.asarray(targets, dtype=np.int64)
     batch = targets.shape[0]
     if batch == 0:
-        raise ValueError("pack_batch requires at least one target")
+        raise ValueError("packing requires at least one target")
     if len(states) != batch:
         raise ValueError(f"{batch} targets but {len(states)} neighbor states")
     d = int(dim if dim is not None else config.dim)
     loop_types = graph.self_loop_types(targets)
 
-    # ---- unique neighbor rows -----------------------------------------
     chunks: List[np.ndarray] = []
     if config.use_wide:
         chunks.extend(state.wide.nodes for state in states)
@@ -314,34 +317,19 @@ def pack_batch(
     else:
         neighbor_nodes = np.empty(0, np.int64)
 
-    def flat_rows(nodes: np.ndarray) -> np.ndarray:
-        return batch + np.searchsorted(neighbor_nodes, nodes)
-
     pack = PackedBatch(targets=targets, neighbor_nodes=neighbor_nodes)
+    rows = np.arange(batch, dtype=np.int64)
 
-    # ---- wide grids ----------------------------------------------------
     if config.use_wide:
-        lengths = np.array([len(state.wide) + 1 for state in states], np.int64)
-        width = int(lengths.max())
-        index = np.zeros((batch, width), np.int64)
-        valid = np.zeros((batch, width))
-        etypes = np.zeros((batch, width), np.int64)
-        index[:, 0] = np.arange(batch)
-        etypes[:, 0] = loop_types
-        for b, state in enumerate(states):
-            wide = state.wide
-            n = len(wide)
-            if n:
-                index[b, 1 : n + 1] = flat_rows(wide.nodes)
-                etypes[b, 1 : n + 1] = wide.etypes
-            valid[b, : n + 1] = 1.0
-        pack.wide_index = index
-        pack.wide_valid = valid
-        pack.wide_etypes = etypes
-        pack.wide_attn_mask = np.where(valid > 0.0, 0.0, _NEG_INF)
-        pack.wide_lengths = lengths
+        pack.wide_index, pack.wide_etypes, pack.wide_lengths, _ = (
+            _csr_segments(
+                rows, loop_types,
+                [state.wide.nodes for state in states],
+                [state.wide.etypes for state in states],
+                neighbor_nodes, batch,
+            )
+        )
 
-    # ---- deep grids ----------------------------------------------------
     if config.use_deep:
         num_walks = len(states[0].deep)
         for state in states:
@@ -349,122 +337,41 @@ def pack_batch(
                 raise ValueError("all targets must carry the same walk count Φ")
         pack.num_walks = num_walks
         walks = [deep for state in states for deep in state.deep]
-        total = len(walks)
-        lengths = np.array([len(deep) + 1 for deep in walks], np.int64)
-        width = int(lengths.max())
-        index = np.zeros((total, width), np.int64)
-        valid = np.zeros((total, width))
-        etypes = np.zeros((total, width), np.int64)
+        owners = np.repeat(rows, num_walks)
+        pack.deep_index, pack.deep_etypes, pack.deep_lengths, deep_offsets = (
+            _csr_segments(
+                owners, loop_types[owners],
+                [deep.nodes for deep in walks],
+                [deep.etypes for deep in walks],
+                neighbor_nodes, batch,
+            )
+        )
         relay_rows: List[int] = []
-        relays: List[RelayRecipe] = []
         for w, deep in enumerate(walks):
-            b = w // num_walks
-            n = len(deep)
-            index[w, 0] = b
-            etypes[w, 0] = loop_types[b]
-            if n:
-                index[w, 1 : n + 1] = flat_rows(deep.nodes)
-                etypes[w, 1 : n + 1] = deep.etypes
-            valid[w, : n + 1] = 1.0
             for position, relay in enumerate(deep.relays):
                 if relay is not None:
-                    relay_rows.append(w * width + position + 1)
-                    relays.append(relay)
-        pack.deep_index = index
-        pack.deep_valid = valid
-        pack.deep_etypes = etypes
-        pack.deep_attn_mask = np.where(valid > 0.0, 0.0, _NEG_INF)
-        pack.deep_lengths = lengths
+                    relay_rows.append(int(deep_offsets[w]) + position + 1)
+                    pack.deep_relays.append(relay)
         pack.deep_relay_rows = np.asarray(relay_rows, np.int64)
-        pack.deep_relays = relays
-
-        pack.deep_causal_mask = deep_causal_mask(valid, pack.deep_attn_mask)
-
-    if config.use_wide:
-        _observe_padding(
-            "wide", pack.wide_lengths, pack.wide_index.shape[1], True
-        )
-    if config.use_deep:
-        _observe_padding(
-            "deep", pack.deep_lengths, pack.deep_index.shape[1], True
-        )
 
     # ---- dropout draws in per-node order -------------------------------
-    wide_drop = deep_drop = hidden_drop = None
+    # One mask per pack matrix, in the per-node path's order; the
+    # segments are contiguous in that same order, so the draws
+    # concatenate straight into the flat CSR masks.
+    wide_masks, deep_masks, hidden_masks = [], [], []
     for b in range(batch):
         if config.use_wide:
-            mask = _draw(pack_dropout, (int(pack.wide_lengths[b]), d))
-            if mask is not None:
-                if wide_drop is None:
-                    wide_drop = np.ones((batch,) + pack.wide_index.shape[1:] + (d,))
-                wide_drop[b, : mask.shape[0]] = mask
-        if config.use_deep:
-            for j in range(pack.num_walks):
-                w = b * pack.num_walks + j
-                mask = _draw(pack_dropout, (int(pack.deep_lengths[w]), d))
-                if mask is not None:
-                    if deep_drop is None:
-                        deep_drop = np.ones(
-                            (total,) + pack.deep_index.shape[1:] + (d,)
-                        )
-                    deep_drop[w, : mask.shape[0]] = mask
-        mask = _draw(hidden_dropout, (d,))
-        if mask is not None:
-            if hidden_drop is None:
-                hidden_drop = np.ones((batch, d))
-            hidden_drop[b] = mask
-    pack.wide_dropout = wide_drop
-    pack.deep_dropout = deep_drop
-    pack.hidden_dropout = hidden_drop
+            wide_masks.append(_draw(pack_dropout, (int(pack.wide_lengths[b]), d)))
+        for w in range(b * pack.num_walks, (b + 1) * pack.num_walks):
+            deep_masks.append(_draw(pack_dropout, (int(pack.deep_lengths[w]), d)))
+        hidden_masks.append(_draw(hidden_dropout, (d,)))
+    if wide_masks and wide_masks[0] is not None:
+        pack.wide_dropout = np.concatenate(wide_masks)
+    if deep_masks and deep_masks[0] is not None:
+        pack.deep_dropout = np.concatenate(deep_masks)
+    if hidden_masks[0] is not None:
+        pack.hidden_dropout = np.stack(hidden_masks)
     return pack
-
-
-@dataclass
-class SparseBatch:
-    """CSR description of a minibatch forward — flat edge arrays, no grids.
-
-    Same flat node-row convention as :class:`PackedBatch` (``[fresh target
-    projections (B); unique neighbor embeddings (U)]``), but pack rows live
-    in flat ``(E,)`` arrays segmented by CSR ``offsets`` instead of padded
-    ``[B, L_max]`` grids.  Work downstream is proportional to real pack
-    rows, so high-skew batches pay nothing for their hubs' long tails.
-    """
-
-    targets: np.ndarray            # (B,) target node ids
-    neighbor_nodes: np.ndarray     # (U,) unique neighbor ids -> flat rows B..B+U-1
-
-    # Wide CSR: segment b = target b's pack rows, target pack first.
-    wide_src: Optional[np.ndarray] = None       # (Ew,) flat node row per pack
-    wide_etypes: Optional[np.ndarray] = None    # (Ew,) edge-type ids
-    wide_offsets: Optional[np.ndarray] = None   # (B + 1,)
-    wide_seg_ids: Optional[np.ndarray] = None   # (Ew,) pack -> target
-    wide_lengths: Optional[np.ndarray] = None   # (B,) incl. target pack
-
-    # Deep CSR: segment w = walk w's pack rows (w = b * Φ + j).
-    num_walks: int = 0
-    deep_src: Optional[np.ndarray] = None       # (Ed,)
-    deep_etypes: Optional[np.ndarray] = None    # (Ed,)
-    deep_offsets: Optional[np.ndarray] = None   # (W + 1,)
-    deep_seg_ids: Optional[np.ndarray] = None   # (Ed,) pack -> walk
-    deep_lengths: Optional[np.ndarray] = None   # (W,)
-    # Causal pair arrays for the successive self-attention (Eq. 4/6);
-    # None when config.use_successive is off.
-    pair_rows: Optional[np.ndarray] = None      # (P,)
-    pair_cols: Optional[np.ndarray] = None      # (P,)
-    pair_offsets: Optional[np.ndarray] = None   # (Ed + 1,)
-    deep_relay_rows: np.ndarray = field(
-        default_factory=lambda: np.empty(0, np.int64)
-    )                                           # flat rows into (Ed, d)
-    deep_relays: List[RelayRecipe] = field(default_factory=list)
-
-    # Scaled dropout masks drawn in per-node rng order (None in eval mode).
-    wide_dropout: Optional[np.ndarray] = None   # (Ew, d)
-    deep_dropout: Optional[np.ndarray] = None   # (Ed, d)
-    hidden_dropout: Optional[np.ndarray] = None # (B, d)
-
-    @property
-    def batch_size(self) -> int:
-        return int(self.targets.shape[0])
 
 
 def pack_batch_sparse(
@@ -475,126 +382,80 @@ def pack_batch_sparse(
     pack_dropout=None,
     hidden_dropout=None,
     dim: Optional[int] = None,
-) -> SparseBatch:
+) -> PackedBatch:
     """Assemble flat CSR pack arrays for ``B`` targets — no padding.
 
-    Row layout inside each segment matches :func:`pack_batch` (target pack
-    first, then sampled neighbors in state order), and the dropout rng
-    streams are consumed in the identical per-node order with the identical
-    true-length shapes — so the drawn masks equal the padded masks at every
-    valid slot, bit for bit, and training losses agree across paths.
+    ``pack_dropout``/``hidden_dropout`` are the model's :class:`Dropout`
+    modules (or ``None``); their rng streams are consumed in per-node order
+    with true-length shapes, so training stays bit-identical with the
+    reference path.  ``dim`` defaults to ``config.dim`` and sizes the
+    dropout masks.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    batch = targets.shape[0]
-    if batch == 0:
-        raise ValueError("pack_batch_sparse requires at least one target")
-    if len(states) != batch:
-        raise ValueError(f"{batch} targets but {len(states)} neighbor states")
-    d = int(dim if dim is not None else config.dim)
-    loop_types = graph.self_loop_types(targets)
+    pack = _pack_csr(
+        targets, states, graph, config, pack_dropout, hidden_dropout, dim
+    )
+    if pack.wide_lengths is not None:
+        _observe_padding("wide", pack.wide_lengths, int(pack.wide_lengths.max()), False)
+    if pack.deep_lengths is not None:
+        _observe_padding("deep", pack.deep_lengths, int(pack.deep_lengths.max()), False)
+    return pack
 
-    chunks: List[np.ndarray] = []
-    if config.use_wide:
-        chunks.extend(state.wide.nodes for state in states)
-    if config.use_deep:
-        chunks.extend(deep.nodes for state in states for deep in state.deep)
-    if chunks:
-        neighbor_nodes = np.unique(np.concatenate(chunks))
-    else:
-        neighbor_nodes = np.empty(0, np.int64)
 
-    def flat_rows(nodes: np.ndarray) -> np.ndarray:
-        return batch + np.searchsorted(neighbor_nodes, nodes)
+def _grids(index, etypes, lengths, dropout):
+    """Scatter one pass's CSR arrays into padded ``(S, L)`` grids.
 
-    pack = SparseBatch(targets=targets, neighbor_nodes=neighbor_nodes)
+    Returns ``(index, etypes, valid, dropout, valid_mask)``: padding holds
+    index/etype 0, validity 0.0 and dropout 1.0; ``valid_mask`` is the
+    boolean grid whose row-major true slots are the CSR entries in order.
+    """
+    valid = np.arange(int(lengths.max())) < lengths[:, np.newaxis]
+    index_grid = np.zeros(valid.shape, np.int64)
+    index_grid[valid] = index
+    etype_grid = np.zeros(valid.shape, np.int64)
+    etype_grid[valid] = etypes
+    if dropout is not None:
+        dropout_grid = np.ones(valid.shape + dropout.shape[1:])
+        dropout_grid[valid] = dropout
+        dropout = dropout_grid
+    return index_grid, etype_grid, valid.astype(float), dropout, valid
 
-    # ---- wide CSR ------------------------------------------------------
-    if config.use_wide:
-        lengths = np.array([len(state.wide) + 1 for state in states], np.int64)
-        offsets = segment_offsets(lengths)
-        src = np.empty(int(offsets[-1]), np.int64)
-        etypes = np.empty(int(offsets[-1]), np.int64)
-        for b, state in enumerate(states):
-            start = int(offsets[b])
-            src[start] = b
-            etypes[start] = loop_types[b]
-            wide = state.wide
-            n = len(wide)
-            if n:
-                src[start + 1 : start + 1 + n] = flat_rows(wide.nodes)
-                etypes[start + 1 : start + 1 + n] = wide.etypes
-        pack.wide_src = src
-        pack.wide_etypes = etypes
-        pack.wide_offsets = offsets
-        pack.wide_seg_ids = segment_ids(offsets)
-        pack.wide_lengths = lengths
-        _observe_padding("wide", lengths, int(lengths.max()), False)
 
-    # ---- deep CSR ------------------------------------------------------
-    if config.use_deep:
-        num_walks = len(states[0].deep)
-        for state in states:
-            if len(state.deep) != num_walks:
-                raise ValueError("all targets must carry the same walk count Φ")
-        pack.num_walks = num_walks
-        walks = [deep for state in states for deep in state.deep]
-        lengths = np.array([len(deep) + 1 for deep in walks], np.int64)
-        offsets = segment_offsets(lengths)
-        src = np.empty(int(offsets[-1]), np.int64)
-        etypes = np.empty(int(offsets[-1]), np.int64)
-        relay_rows: List[int] = []
-        relays: List[RelayRecipe] = []
-        for w, deep in enumerate(walks):
-            b = w // num_walks
-            start = int(offsets[w])
-            src[start] = b
-            etypes[start] = loop_types[b]
-            n = len(deep)
-            if n:
-                src[start + 1 : start + 1 + n] = flat_rows(deep.nodes)
-                etypes[start + 1 : start + 1 + n] = deep.etypes
-            for position, relay in enumerate(deep.relays):
-                if relay is not None:
-                    relay_rows.append(start + position + 1)
-                    relays.append(relay)
-        pack.deep_src = src
-        pack.deep_etypes = etypes
-        pack.deep_offsets = offsets
-        pack.deep_seg_ids = segment_ids(offsets)
-        pack.deep_lengths = lengths
-        pack.deep_relay_rows = np.asarray(relay_rows, np.int64)
-        pack.deep_relays = relays
-        if config.use_successive:
-            pack.pair_rows, pack.pair_cols, pack.pair_offsets = causal_pairs(
-                offsets
-            )
-        _observe_padding("deep", lengths, int(lengths.max()), False)
+def pack_batch(
+    targets: Sequence[int],
+    states: Sequence[NeighborState],
+    graph: HeteroGraph,
+    config: WidenConfig,
+    pack_dropout=None,
+    hidden_dropout=None,
+    dim: Optional[int] = None,
+) -> PackedBatch:
+    """:func:`pack_batch_sparse` laid out as padded grids.
 
-    # ---- dropout draws in per-node order -------------------------------
-    wide_drop = deep_drop = hidden_drop = None
-    for b in range(batch):
-        if config.use_wide:
-            mask = _draw(pack_dropout, (int(pack.wide_lengths[b]), d))
-            if mask is not None:
-                if wide_drop is None:
-                    wide_drop = np.ones((int(pack.wide_offsets[-1]), d))
-                start = int(pack.wide_offsets[b])
-                wide_drop[start : start + mask.shape[0]] = mask
-        if config.use_deep:
-            for j in range(pack.num_walks):
-                w = b * pack.num_walks + j
-                mask = _draw(pack_dropout, (int(pack.deep_lengths[w]), d))
-                if mask is not None:
-                    if deep_drop is None:
-                        deep_drop = np.ones((int(pack.deep_offsets[-1]), d))
-                    start = int(pack.deep_offsets[w])
-                    deep_drop[start : start + mask.shape[0]] = mask
-        mask = _draw(hidden_dropout, (d,))
-        if mask is not None:
-            if hidden_drop is None:
-                hidden_drop = np.ones((batch, d))
-            hidden_drop[b] = mask
-    pack.wide_dropout = wide_drop
-    pack.deep_dropout = deep_drop
-    pack.hidden_dropout = hidden_drop
+    Each segment becomes one grid row, padded to the batch's longest
+    segment, and relay rows move to the same slots of the flattened grid.
+    Same arguments, same rng consumption.
+    """
+    pack = _pack_csr(
+        targets, states, graph, config, pack_dropout, hidden_dropout, dim
+    )
+    if pack.wide_lengths is not None:
+        (pack.wide_index, pack.wide_etypes, pack.wide_valid,
+         pack.wide_dropout, _) = _grids(
+            pack.wide_index, pack.wide_etypes, pack.wide_lengths,
+            pack.wide_dropout,
+        )
+        _observe_padding(
+            "wide", pack.wide_lengths, pack.wide_index.shape[1], True
+        )
+    if pack.deep_lengths is not None:
+        (pack.deep_index, pack.deep_etypes, pack.deep_valid,
+         pack.deep_dropout, valid) = _grids(
+            pack.deep_index, pack.deep_etypes, pack.deep_lengths,
+            pack.deep_dropout,
+        )
+        if pack.deep_relays:
+            pack.deep_relay_rows = np.flatnonzero(valid)[pack.deep_relay_rows]
+        _observe_padding(
+            "deep", pack.deep_lengths, pack.deep_index.shape[1], True
+        )
     return pack

@@ -367,23 +367,9 @@ class WidenTrainer:
         if count == 0:
             return
         sample = others[self._shuffle_rng.permutation(others.size)[:count]]
-        with no_grad():
-            if self.config.forward_mode != "per_node":
-                batch_size = max(1, self.config.batch_size)
-                for start in range(0, sample.size, batch_size):
-                    chunk = sample[start : start + batch_size]
-                    states = [self.store.get(int(node)) for node in chunk]
-                    embeddings, _, _ = self.model.forward_batch(
-                        chunk, states, self.graph, self.node_state
-                    )
-                    self.node_state[chunk] = embeddings.data
-            else:
-                for node in sample:
-                    state = self.store.get(int(node))
-                    embedding, _, _ = self.model(
-                        int(node), state, self.graph, self.node_state
-                    )
-                    self.node_state[int(node)] = embedding.data
+        self._embed_nodes(
+            self.store, self.graph, sample, self.node_state, write_back=True
+        )
 
     # ------------------------------------------------------------------
     # Active downsampling (Algorithms 1-2 + Eq. 9 trigger)
@@ -580,7 +566,10 @@ class WidenTrainer:
 
         Evaluation reads the refined node-state table but never mutates it.
         """
-        return self._embed_with(self.store, self.graph, self.node_state, nodes)
+        with self.model.eval_mode():
+            return self._embed_nodes(
+                self.store, self.graph, nodes, self.node_state
+            )
 
     def embed_inductive(
         self,
@@ -608,67 +597,63 @@ class WidenTrainer:
             wide_sampling=self.config.wide_sampling,
             rng=new_rng(rng),
         )
-        if self.config.embedding_mode != "replace":
-            return self._embed_with(store, graph, None, nodes)
-        node_state = self.model.initial_node_state(graph)
-        frontier = set()
-        for node in nodes:
-            state = store.get(int(node))
-            frontier.update(state.wide.nodes.tolist())
-            for deep in state.deep:
-                frontier.update(deep.nodes.tolist())
-        frontier -= set(int(v) for v in nodes)
-        self.model.eval()
-        batched = self.config.forward_mode != "per_node"
-        batch_size = max(1, self.config.batch_size)
-        warm_nodes = np.asarray(sorted(frontier), dtype=np.int64)
-        with no_grad():
+        with self.model.eval_mode():
+            if self.config.embedding_mode != "replace":
+                return self._embed_nodes(store, graph, nodes, None)
+            node_state = self.model.initial_node_state(graph)
+            frontier = set()
+            for node in nodes:
+                state = store.get(int(node))
+                frontier.update(state.wide.nodes.tolist())
+                for deep in state.deep:
+                    frontier.update(deep.nodes.tolist())
+            frontier -= set(int(v) for v in nodes)
+            warm_nodes = np.asarray(sorted(frontier), dtype=np.int64)
             for _ in range(max(0, warmup_passes)):
-                if batched and warm_nodes.size:
-                    for start in range(0, warm_nodes.size, batch_size):
-                        chunk = warm_nodes[start : start + batch_size]
-                        chunk_states = [store.get(int(n)) for n in chunk]
-                        embeddings, _, _ = self.model.forward_batch(
-                            chunk, chunk_states, graph, node_state
-                        )
-                        node_state[chunk] = embeddings.data
-                else:
-                    for node in warm_nodes:
-                        state = store.get(int(node))
-                        embedding, _, _ = self.model(int(node), state, graph, node_state)
-                        node_state[int(node)] = embedding.data
-        self.model.train()
-        return self._embed_with(store, graph, node_state, nodes)
+                self._embed_nodes(
+                    store, graph, warm_nodes, node_state, write_back=True
+                )
+            return self._embed_nodes(store, graph, nodes, node_state)
 
-    def _embed_with(
+    def _embed_nodes(
         self,
         store: NeighborStateStore,
         graph: HeteroGraph,
-        node_state: Optional[np.ndarray],
         nodes: Sequence[int],
+        node_state: Optional[np.ndarray],
+        write_back: bool = False,
     ) -> np.ndarray:
-        self.model.eval()
+        """``(len(nodes), d)`` embeddings without autograd, in the model's
+        current train/eval mode.
+
+        Runs ``forward_batch`` over ``batch_size`` chunks, or the per-node
+        ``forward`` one node at a time under ``forward_mode="per_node"``.
+        ``write_back`` stores each output into its ``node_state`` row as
+        soon as it is computed, so later chunks — later nodes, on the
+        per-node path — read it.
+        """
         node_ids = np.asarray([int(node) for node in nodes], dtype=np.int64)
-        rows = []
+        per_node = self.config.forward_mode == "per_node"
+        step = 1 if per_node else max(1, self.config.batch_size)
+        rows = [np.empty((0, self.config.dim))]
         with no_grad():
-            if self.config.forward_mode != "per_node" and node_ids.size:
-                batch_size = max(1, self.config.batch_size)
-                for start in range(0, node_ids.size, batch_size):
-                    chunk = node_ids[start : start + batch_size]
-                    states = [store.get(int(n)) for n in chunk]
+            for start in range(0, node_ids.size, step):
+                chunk = node_ids[start : start + step]
+                states = [store.get(int(node)) for node in chunk]
+                if per_node:
+                    embedding, _, _ = self.model(
+                        int(chunk[0]), states[0], graph, node_state
+                    )
+                    out = embedding.data[np.newaxis]
+                else:
                     embeddings, _, _ = self.model.forward_batch(
                         chunk, states, graph, node_state
                     )
-                    rows.append(embeddings.data)
-                result = np.concatenate(rows, axis=0)
-            else:
-                for node in node_ids:
-                    state = store.get(int(node))
-                    embedding, _, _ = self.model(int(node), state, graph, node_state)
-                    rows.append(embedding.data)
-                result = np.stack(rows)
-        self.model.train()
-        return result
+                    out = embeddings.data
+                if write_back:
+                    node_state[chunk] = out
+                rows.append(out)
+        return np.concatenate(rows, axis=0)
 
     def predict(self, embeddings: np.ndarray) -> np.ndarray:
         """Class predictions from embeddings."""

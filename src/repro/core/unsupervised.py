@@ -116,14 +116,12 @@ class UnsupervisedWidenTrainer:
         return loss.item()
 
     def embed(self, nodes) -> np.ndarray:
-        self.model.eval()
         rows = []
-        with no_grad():
+        with self.model.eval_mode(), no_grad():
             for node in nodes:
                 state = self.store.get(int(node))
                 embedding, _, _ = self.model(int(node), state, self.graph)
                 rows.append(embedding.data)
-        self.model.train()
         return np.stack(rows)
 
     def fit_classifier_probe(

@@ -8,6 +8,7 @@ and a flat ``state_dict`` for (de)serialization.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
@@ -81,6 +82,19 @@ class Module:
         for module in self.modules():
             module.training = False
         return self
+
+    @contextmanager
+    def eval_mode(self) -> Iterator["Module"]:
+        """Eval mode for the ``with`` block, then every submodule's previous
+        mode back — also when the block raises, and also when the caller
+        had already switched to eval."""
+        previous = [(module, module.training) for module in self.modules()]
+        self.eval()
+        try:
+            yield self
+        finally:
+            for module, training in previous:
+                module.training = training
 
     def num_parameters(self) -> int:
         """Total scalar parameter count (used in efficiency reporting)."""

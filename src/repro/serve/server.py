@@ -608,16 +608,18 @@ class InferenceServer:
                 )
                 for position in fallback_positions
             ]
-            fresh_rows = self.classifier.materialize_store_rows(
+            fresh_blocks, fresh_lengths = self.classifier.materialize_store_rows(
                 nodes_arr[fallback_positions], self.graph, rngs
             )
-            for position, row_set in zip(fallback_positions, fresh_rows):
+            blocks[fallback_positions] = fresh_blocks
+            lengths[fallback_positions] = fresh_lengths
+            for position, block, length_row in zip(
+                fallback_positions, fresh_blocks, fresh_lengths
+            ):
                 store.refresh(
-                    int(nodes_arr[position]), int(want[position]), row_set
+                    int(nodes_arr[position]), int(want[position]),
+                    block, length_row,
                 )
-                block, length_row = store.block_for(int(nodes_arr[position]))
-                blocks[position] = block
-                lengths[position] = length_row
         stale = int(((~fresh_mask) & (have >= 0)).sum())
         absent = int((have < 0).sum())
         self.telemetry.record_store_lookup(hit=hit, stale=stale, absent=absent)

@@ -4,14 +4,16 @@ SeHGNN (arXiv 2207.02547) observes that a hetero-GNN's neighbor
 aggregation can be computed *once* instead of per request; this package
 applies that to WIDEN's serving path.  The offline builder
 (:func:`build_store`) runs the batched packing machinery over every node
-and persists the trimmed pack matrices ``M°``/``M▷`` (Eqs. 1-2) — the
-post-projection, post-edge-multiply aggregates — into a compact,
-mmap-friendly on-disk store keyed by graph version + parameter digest.
-At serve time a cache miss with a fresh store row skips sampling,
-feature projection and edge gathers entirely: the answer is attention +
-MLP over the stored rows (:meth:`WidenClassifier.embed_from_store_rows`),
-bit-identical to the full recompute because both halves run the same
-code over the same pack values.
+and persists the pack matrices ``M°``/``M▷`` (Eqs. 1-2) — the
+post-projection, post-edge-multiply aggregates, as
+:meth:`WidenModel.materialize_rows` lays them out in capacity-padded
+blocks — into a compact, mmap-friendly on-disk store keyed by graph
+version + parameter digest.  At serve time a cache miss with a fresh
+store row skips sampling, feature projection and edge gathers entirely:
+the answer is attention + MLP over the stored blocks
+(:meth:`WidenClassifier.embed_from_store_blocks`), bit-identical to the
+full recompute because both halves run the same code over the same pack
+values.
 
 Versioning reuses the server's per-node mutation counters: a row built
 at version ``v`` serves node ``n`` only while the server's

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.obs import MetricsRegistry, get_registry
 from repro.obs.tracing import span as trace_span
-from repro.store.store import AggregateStore, block_capacity, encode_block
+from repro.store.store import AggregateStore, block_capacity
 
 
 def build_store(
@@ -82,11 +82,11 @@ def build_store(
                 np.random.default_rng([int(seed), version, int(node)])
                 for node in chunk
             ]
-            pack_rows = classifier.materialize_store_rows(chunk, graph, rngs)
-            for offset, row_set in enumerate(pack_rows):
-                block, length_row = encode_block(row_set, meta)
-                rows[begin + offset] = block
-                lengths[begin + offset] = length_row
+            blocks, length_rows = classifier.materialize_store_rows(
+                chunk, graph, rngs
+            )
+            rows[begin : begin + chunk.size] = blocks
+            lengths[begin : begin + chunk.size] = length_rows
     elapsed = time.perf_counter() - start
 
     store = AggregateStore.create(

@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
-
-from repro.core.packing import PackRows
 
 STORE_FORMAT_VERSION = 1
 
@@ -53,44 +51,6 @@ def block_capacity(meta: Dict[str, object]) -> Tuple[int, int, int]:
     deep_cap = (int(meta["num_deep"]) + 1) if meta["use_deep"] else 0
     total = wide_cap + int(meta["num_walks"]) * deep_cap
     return wide_cap, deep_cap, total
-
-
-def encode_block(
-    rows: PackRows, meta: Dict[str, object]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Pack one node's trimmed matrices into a ``(R, d)`` block + lengths."""
-    wide_cap, deep_cap, total = block_capacity(meta)
-    num_walks = int(meta["num_walks"])
-    block = np.zeros((total, int(meta["dim"])))
-    lengths = np.zeros(1 + num_walks, np.int64)
-    if wide_cap:
-        if rows.wide is None:
-            raise ValueError("use_wide store but PackRows.wide is None")
-        lengths[0] = rows.wide.shape[0]
-        block[: lengths[0]] = rows.wide
-    if deep_cap:
-        if len(rows.deep) != num_walks:
-            raise ValueError(
-                f"expected {num_walks} walks, got {len(rows.deep)}"
-            )
-        for j, walk in enumerate(rows.deep):
-            offset = wide_cap + j * deep_cap
-            lengths[1 + j] = walk.shape[0]
-            block[offset : offset + walk.shape[0]] = walk
-    return block, lengths
-
-
-def decode_block(
-    block: np.ndarray, lengths: np.ndarray, meta: Dict[str, object]
-) -> PackRows:
-    """Trim a row block back into :class:`PackRows` (views, no copies)."""
-    wide_cap, deep_cap, _ = block_capacity(meta)
-    wide = block[: int(lengths[0])] if wide_cap else None
-    deep: List[np.ndarray] = []
-    for j in range(int(meta["num_walks"]) if deep_cap else 0):
-        offset = wide_cap + j * deep_cap
-        deep.append(block[offset : offset + int(lengths[1 + j])])
-    return PackRows(wide=wide, deep=deep)
 
 
 class AggregateStore:
@@ -126,8 +86,8 @@ class AggregateStore:
                 for position, node in enumerate(self._node_ids)
             }
         # node -> (version, block, lengths): rows re-materialized since
-        # open, kept in encoded block form so the serving hot path reads
-        # overlay and base entries identically.
+        # open, kept in block form so the serving hot path reads overlay
+        # and base entries identically.
         self._overlay: Dict[int, Tuple[int, np.ndarray, np.ndarray]] = {}
 
     # -- lookups ---------------------------------------------------------
@@ -156,21 +116,12 @@ class AggregateStore:
         position = self._position(node)
         return None if position is None else int(self._versions[position])
 
-    def fresh(self, node: int, version: int) -> bool:
-        """Whether the stored row is exact for the node at ``version``."""
-        return self.version_of(node) == int(version)
-
-    def rows_for(self, node: int) -> PackRows:
-        """The node's pack matrices (overlay first, then the base arrays)."""
-        block, lengths = self.block_for(node)
-        return decode_block(block, lengths, self.meta)
-
     def block_for(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
         """The node's raw ``(R, d)`` capacity-padded block + lengths row.
 
-        This is the serving hot path: base entries are mmap views and
-        overlay entries are already encoded, so a lookup is two dict/array
-        probes with no decoding or re-padding work.
+        Base entries are mmap views and overlay entries are stored as
+        blocks too, so a lookup is two dict/array probes with no decoding
+        or re-padding work.
         """
         entry = self._overlay.get(int(node))
         if entry is not None:
@@ -237,10 +188,19 @@ class AggregateStore:
             lengths[position] = length_row
         return blocks, lengths
 
-    def refresh(self, node: int, version: int, rows: PackRows) -> None:
-        """Write back a lazily re-materialized row (in-memory overlay)."""
-        block, lengths = encode_block(rows, self.meta)
-        self._overlay[int(node)] = (int(version), block, lengths)
+    def refresh(
+        self, node: int, version: int, block: np.ndarray, lengths: np.ndarray
+    ) -> None:
+        """Write back a lazily re-materialized ``(R, d)`` block and its
+        lengths row (in-memory overlay).  Both are copied, so the overlay
+        never pins the larger batch array a block was sliced from."""
+        if block.shape != self.block_shape:
+            raise ValueError(
+                f"block shape {block.shape} != store block shape {self.block_shape}"
+            )
+        self._overlay[int(node)] = (
+            int(version), np.array(block), np.array(lengths, np.int64)
+        )
 
     # -- accounting ------------------------------------------------------
 
@@ -266,14 +226,6 @@ class AggregateStore:
     @property
     def overlay_size(self) -> int:
         return len(self._overlay)
-
-    def stale_count(self, nodes: Iterable[int], version_of) -> int:
-        """How many of ``nodes`` hold rows now stale under ``version_of``."""
-        return sum(
-            1
-            for node in nodes
-            if self.has(node) and not self.fresh(node, version_of(int(node)))
-        )
 
     # -- compatibility ---------------------------------------------------
 

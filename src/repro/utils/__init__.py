@@ -1,7 +1,7 @@
 """Shared utilities: deterministic RNG handling.
 
-``Timer`` / ``time_call`` moved to :mod:`repro.obs`; they are re-exported
-here (via the deprecated :mod:`repro.utils.timing` alias) for compatibility.
+``Timer`` / ``time_call`` live in :mod:`repro.obs.timing`; they are
+re-exported here for compatibility.
 """
 
 from repro.obs.timing import Timer, time_call

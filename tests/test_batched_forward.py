@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import WidenConfig, WidenModel
 from repro.core.classifier import WidenClassifier
-from repro.core.packing import pack_batch
+from repro.core.packing import deep_causal_mask, pack_batch, pad_block_masks
 from repro.core.relay import prune_deep, shrink_wide
 from repro.core.state import NeighborStateStore
 from repro.core.trainer import WidenTrainer
@@ -130,15 +130,24 @@ class TestPackBatch:
         np.testing.assert_array_equal(
             pack.wide_etypes[:, 0], graph.self_loop_types(np.asarray(targets))
         )
-        # Valid slots and -inf mask agree everywhere.
-        assert ((pack.wide_valid > 0) == (pack.wide_attn_mask == 0.0)).all()
+        # Valid slots and the -inf mask derived from the lengths agree
+        # everywhere.
+        _, wide_attn_mask = pad_block_masks(
+            pack.wide_lengths, pack.wide_index.shape[1]
+        )
+        assert ((pack.wide_valid > 0) == (wide_attn_mask == 0.0)).all()
         total = batch * pack.num_walks
         assert pack.deep_index.shape[0] == total
-        assert pack.deep_causal_mask.shape == (
+        deep_valid, deep_attn_mask = pad_block_masks(
+            pack.deep_lengths, pack.deep_index.shape[1]
+        )
+        np.testing.assert_array_equal(deep_valid, pack.deep_valid)
+        causal = deep_causal_mask(deep_valid, deep_attn_mask)
+        assert causal.shape == (
             total, pack.deep_index.shape[1], pack.deep_index.shape[1]
         )
         # Every causal-mask row keeps at least one finite entry (no NaN rows).
-        assert np.isfinite(pack.deep_causal_mask).any(axis=-1).all()
+        assert np.isfinite(causal).any(axis=-1).all()
 
     def test_neighbor_rows_resolve_to_the_right_nodes(self, graph):
         model = make_model(graph)

@@ -94,20 +94,6 @@ class TestCli:
 
 
 class TestTuneScatter:
-    def test_sweep_prints_env_lines_and_writes_json(self, capsys, tmp_path):
-        out = tmp_path / "tuning.json"
-        assert main([
-            "tune-scatter", "--repeats", "3", "--tuning-out", str(out),
-        ]) == 0
-        printed = capsys.readouterr().out
-        assert "REPRO_SCATTER_SPARSE_MIN_ROWS" in printed
-        assert "REPRO_SCATTER_DENSE_MAX_CELLS" in printed
-        report = json.loads(out.read_text())
-        assert report["recommended"]["sparse_min_rows"] >= 0
-        assert report["recommended"]["dense_max_cells"] >= 0
-        assert len(report["sparse_sweep"]) > 0
-        assert len(report["dense_sweep"]) > 0
-
     def test_recommend_requires_stable_crossover(self):
         """One noisy bincount win below the real crossover must not drag
         the threshold down; ufunc-sweeping machines disable vectorization."""

@@ -366,13 +366,6 @@ class TestOpProfiler:
 
 
 class TestTimingAlias:
-    def test_utils_timing_is_the_obs_module(self):
-        import repro.obs.timing as obs_timing
-        import repro.utils.timing as utils_timing
-
-        assert utils_timing.Timer is obs_timing.Timer is Timer
-        assert utils_timing.time_call is obs_timing.time_call is time_call
-
     def test_timer_still_times(self):
         with Timer() as timer:
             sum(range(1000))
@@ -382,14 +375,14 @@ class TestTimingAlias:
         assert seconds >= 0.0
 
     def test_utils_package_reexports_same_objects(self):
-        # The deprecated shim's public surface: repro.utils must hand out
-        # the identical objects, with nothing extra left behind.
+        # repro.utils hands out the identical objects; there is no
+        # repro.utils.timing module.
         import repro.utils as utils
-        import repro.utils.timing as utils_timing
 
         assert utils.Timer is Timer
         assert utils.time_call is time_call
-        assert utils_timing.__all__ == ["Timer", "time_call"]
+        with pytest.raises(ImportError):
+            import repro.utils.timing  # noqa: F401
 
 
 class TestPrometheusExposition:

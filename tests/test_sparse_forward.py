@@ -13,7 +13,12 @@ import pytest
 
 from repro.cluster import ClusterRouter
 from repro.core import WidenClassifier, WidenConfig, WidenModel
-from repro.core.packing import pack_batch, pack_batch_sparse, padded_waste
+from repro.core.packing import (
+    pack_batch,
+    pack_batch_sparse,
+    padded_waste,
+    segment_offsets,
+)
 from repro.core.trainer import WidenTrainer
 from repro.datasets import make_acm
 from repro.serve import InferenceServer
@@ -55,26 +60,29 @@ class TestSparsePackBatch:
         states = add_relays(sample_states(graph, model.config, targets))
         padded = pack_batch(targets, states, graph, model.config)
         sparse = pack_batch_sparse(targets, states, graph, model.config)
+        assert sparse.wide_valid is None and sparse.deep_valid is None
         # Wide: segment b holds exactly the valid slots of padded row b.
+        wide_offsets = segment_offsets(sparse.wide_lengths)
         for b in range(len(targets)):
-            lo, hi = sparse.wide_offsets[b], sparse.wide_offsets[b + 1]
+            lo, hi = wide_offsets[b], wide_offsets[b + 1]
             n = int(padded.wide_valid[b].sum())
             assert hi - lo == n
             np.testing.assert_array_equal(
-                sparse.wide_src[lo:hi], padded.wide_index[b, :n]
+                sparse.wide_index[lo:hi], padded.wide_index[b, :n]
             )
             np.testing.assert_array_equal(
                 sparse.wide_etypes[lo:hi], padded.wide_etypes[b, :n]
             )
         # Deep: one segment per (target, walk), same order as the padded rows.
         total = len(targets) * sparse.num_walks
-        assert sparse.deep_offsets.shape == (total + 1,)
+        deep_offsets = segment_offsets(sparse.deep_lengths)
+        assert deep_offsets.shape == (total + 1,)
         for w in range(total):
-            lo, hi = sparse.deep_offsets[w], sparse.deep_offsets[w + 1]
+            lo, hi = deep_offsets[w], deep_offsets[w + 1]
             n = int(padded.deep_valid[w].sum())
             assert hi - lo == n
             np.testing.assert_array_equal(
-                sparse.deep_src[lo:hi], padded.deep_index[w, :n]
+                sparse.deep_index[lo:hi], padded.deep_index[w, :n]
             )
 
     def test_padding_waste_gauge_reaches_metrics(self, graph):
@@ -114,13 +122,15 @@ class TestSparsePackBatch:
             hidden_dropout=model_b.hidden_dropout,
             dim=model_b.config.dim,
         )
+        wide_offsets = segment_offsets(sparse.wide_lengths)
         for b in range(len(targets)):
-            lo, hi = sparse.wide_offsets[b], sparse.wide_offsets[b + 1]
+            lo, hi = wide_offsets[b], wide_offsets[b + 1]
             np.testing.assert_array_equal(
                 sparse.wide_dropout[lo:hi], padded.wide_dropout[b, : hi - lo]
             )
+        deep_offsets = segment_offsets(sparse.deep_lengths)
         for w in range(len(targets) * sparse.num_walks):
-            lo, hi = sparse.deep_offsets[w], sparse.deep_offsets[w + 1]
+            lo, hi = deep_offsets[w], deep_offsets[w + 1]
             np.testing.assert_array_equal(
                 sparse.deep_dropout[lo:hi], padded.deep_dropout[w, : hi - lo]
             )
@@ -328,19 +338,14 @@ class TestSparseStoreAndCluster:
         store = AggregateStore.open(store_path)
         rng = np.random.default_rng(3)
         nodes = rng.choice(dataset.graph.num_nodes, size=9, replace=False)
-        rows = [store.rows_for(int(node)) for node in nodes]
         blocks, lengths = store.blocks_for(nodes)
-        sparse_rows = trained.embed_from_store_rows(rows)
         sparse_blocks = trained.embed_from_store_blocks(blocks, lengths)
-        # Same gather, same segment ops: the two sparse store paths are
-        # bit-identical, not merely close.
-        np.testing.assert_array_equal(sparse_blocks, sparse_rows)
         trained.config.forward_mode = "batched"
         try:
-            batched_rows = trained.embed_from_store_rows(rows)
+            batched_blocks = trained.embed_from_store_blocks(blocks, lengths)
         finally:
             trained.config.forward_mode = "sparse"
-        np.testing.assert_allclose(sparse_rows, batched_rows, atol=1e-10)
+        np.testing.assert_allclose(sparse_blocks, batched_blocks, atol=1e-10)
 
     def test_store_backed_server_matches_recompute_oracle(
         self, checkpoint, store_path, dataset

@@ -18,6 +18,7 @@ from repro.core import WidenClassifier
 from repro.datasets import make_acm
 from repro.serve import InferenceServer
 from repro.store import STORE_FORMAT_VERSION, AggregateStore, build_store
+from tests.test_batched_forward import add_relays, make_model, sample_states
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +86,12 @@ class TestStoreRoundtrip:
             np.random.default_rng([7, int(acm.graph.version), int(node)])
             for node in nodes
         ]
-        direct = trained.materialize_store_rows(nodes, acm.graph, rngs)
-        for node, rows in zip(nodes, direct):
-            stored = store.rows_for(int(node))
-            np.testing.assert_array_equal(stored.wide, rows.wide)
-            assert len(stored.deep) == len(rows.deep)
-            for got, expected in zip(stored.deep, rows.deep):
-                np.testing.assert_array_equal(got, expected)
+        direct_blocks, direct_lengths = trained.materialize_store_rows(
+            nodes, acm.graph, rngs
+        )
+        blocks, lengths = store.blocks_for(nodes)
+        np.testing.assert_array_equal(blocks, direct_blocks)
+        np.testing.assert_array_equal(lengths, direct_lengths)
 
     def test_vectorized_lookups_match_scalar(self, store_path, acm):
         store = AggregateStore.open(store_path)
@@ -211,15 +211,51 @@ class TestStoreServingEquality:
         )
         assert stored.telemetry.store_lookups[-1]["absent"] == 1
 
-    def test_forward_from_blocks_equals_rows_path(self, trained, store_path, acm):
-        store = AggregateStore.open(store_path)
-        nodes = probe_nodes(acm.graph, 9)
-        rows = [store.rows_for(int(node)) for node in nodes]
-        blocks, lengths = store.blocks_for(nodes)
-        np.testing.assert_array_equal(
-            trained.embed_from_store_blocks(blocks, lengths),
-            trained.embed_from_store_rows(rows),
+    @pytest.mark.parametrize("mode", ["batched", "sparse"])
+    def test_relay_blocks_equal_recompute(self, acm, mode):
+        """Pruned walks carry relay edges (Eq. 8); their materialized
+        blocks must still reproduce the full forward bit for bit."""
+        graph = acm.graph
+        model = make_model(graph, forward_mode=mode)
+        model.eval()
+        targets = graph.labeled_nodes()[:8]
+        states = add_relays(sample_states(graph, model.config, targets))
+        assert any(
+            relay is not None
+            for state in states for deep in state.deep for relay in deep.relays
         )
+        blocks, lengths = model.materialize_rows(targets, states, graph)
+        recomputed, _, _ = model.forward_batch(targets, states, graph, None)
+        np.testing.assert_array_equal(
+            model.forward_from_blocks(blocks, lengths).data, recomputed.data
+        )
+
+
+# ----------------------------------------------------------------------
+# Serving hooks leave the caller's train/eval mode alone
+# ----------------------------------------------------------------------
+
+
+class TestServingModeRestore:
+    def test_serving_keeps_a_callers_eval_mode(self, trained, acm):
+        model = trained.model
+        model.eval()
+        try:
+            nodes = probe_nodes(acm.graph, 3)
+            rngs = [np.random.default_rng([7, 0, int(node)]) for node in nodes]
+            trained.embed_for_serving_batch(nodes, acm.graph, rngs)
+            assert not any(module.training for module in model.modules())
+        finally:
+            model.train()
+
+    def test_failed_store_call_restores_train_mode(self, trained, store_path, acm):
+        model = trained.model
+        model.train()
+        store = AggregateStore.open(store_path)
+        blocks, lengths = store.blocks_for(probe_nodes(acm.graph, 3))
+        with pytest.raises(ValueError):
+            trained.embed_from_store_blocks(blocks[:, :-1], lengths)
+        assert all(module.training for module in model.modules())
 
 
 # ----------------------------------------------------------------------
